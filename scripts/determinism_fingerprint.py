@@ -108,18 +108,19 @@ def telemetry_runner():
     """A drop-in for ``run_steady_state`` that runs each point with a
     telemetry sampler attached (and discards the series: only the
     LoadPoint enters the fingerprint, and it must not change)."""
-    from repro.engine.runner import run_spec_with_telemetry
+    from repro.engine.execute import execute_outcome
     from repro.telemetry.config import TelemetryConfig
 
     tcfg = TelemetryConfig(interval=50, per_link=True)
 
     def run(config, pattern, load, warmup, measure):
-        point, series = run_spec_with_telemetry(
+        outcome = execute_outcome(
             RunSpec(config, pattern, load, warmup, measure, backend=BACKEND),
-            tcfg,
+            telemetry=tcfg,
         )
-        assert series is not None and series.samples, "sampler produced nothing"
-        return point
+        assert outcome.series is not None and outcome.series.samples, \
+            "sampler produced nothing"
+        return outcome.point
 
     return run
 
@@ -276,10 +277,8 @@ def _workload_doc(result) -> dict:
 def workload_section(mode: str, workers: int = 2) -> dict:
     """Fingerprint the multi-job spec under ``mode`` ("plain",
     "orchestrated" or "telemetry"); all three must emit the same dict."""
-    from repro.workloads.runner import (
-        SIDECAR_KIND, WorkloadResult, run_workload, run_workload_cached,
-        run_workload_with_telemetry,
-    )
+    from repro.engine.execute import execute_cached, execute_outcome
+    from repro.workloads.runner import SIDECAR_KIND, WorkloadResult, run_workload
 
     spec = workload_spec()
     if mode == "orchestrated":
@@ -295,16 +294,17 @@ def workload_section(mode: str, workers: int = 2) -> dict:
             fresh = WorkloadResult.from_jsonable(payload)
             if _point_dict(total) != _point_dict(fresh.total):
                 sys.exit("orchestrated total diverged from the sidecar total")
-            resumed = run_workload_cached(spec, store)
+            resumed = execute_cached(spec, store)
             if _workload_doc(fresh) != _workload_doc(resumed):
                 sys.exit("cache-hit workload result diverged from fresh run")
             result = resumed
     elif mode == "telemetry":
         from repro.telemetry.config import TelemetryConfig
 
-        result, series = run_workload_with_telemetry(
-            spec, TelemetryConfig(interval=50, per_link=True)
+        outcome = execute_outcome(
+            spec, telemetry=TelemetryConfig(interval=50, per_link=True)
         )
+        result, series = outcome.result, outcome.series
         assert series is not None and series.samples, "sampler produced nothing"
         assert any(s.job_flow for s in series.samples), "no per-job flow sampled"
     elif mode == "snapshot":
@@ -312,7 +312,6 @@ def workload_section(mode: str, workers: int = 2) -> dict:
         # extras (the one piece of summarization state outside the
         # simulator), JSON round-trip, fork, finish on the fork.
         from repro.snapshot import Snapshot
-        from repro.snapshot.checkpoint import _decode_baseline, _encode_baseline
         from repro.workloads.runner import (
             _job_phit_baseline, _summarize, build_workload_sim,
         )
@@ -323,13 +322,13 @@ def workload_section(mode: str, workers: int = 2) -> dict:
         sim.run(spec.measure // 2)
         snap = Snapshot.from_jsonable(json.loads(json.dumps(
             Snapshot.capture(
-                sim, spec=spec, extras={"baseline": _encode_baseline(baseline)}
+                sim, spec=spec, extras={"baseline": baseline}
             ).to_jsonable()
         )))
         fork = snap.fork()
         assert fork.state_digest() == sim.state_digest(), "restore diverged"
         fork.run(spec.measure - spec.measure // 2)
-        result = _summarize(fork, _decode_baseline(snap.extras["baseline"]))
+        result = _summarize(fork, snap.extras["baseline"])
     else:
         result = run_workload(spec)
     return _workload_doc(result)
@@ -367,10 +366,8 @@ def scenario_section(mode: str, workers: int = 2) -> str:
     """Fingerprint the cluster scenario under ``mode``; every mode must
     emit the identical string (scheduling, per-job points, blast table
     and all)."""
-    from repro.cluster.runner import (
-        SIDECAR_KIND, ScenarioResult, run_scenario, run_scenario_cached,
-        run_scenario_with_telemetry,
-    )
+    from repro.cluster.runner import SIDECAR_KIND, ScenarioResult, run_scenario
+    from repro.engine.execute import execute_cached, execute_outcome, execute_point
 
     spec = scenario_spec()
     if mode == "orchestrated":
@@ -386,16 +383,17 @@ def scenario_section(mode: str, workers: int = 2) -> str:
             fresh = ScenarioResult.from_jsonable(payload)
             if _point_dict(total) != _point_dict(fresh.total):
                 sys.exit("orchestrated scenario total diverged from the sidecar")
-            resumed = run_scenario_cached(spec, store)
+            resumed = execute_cached(spec, store)
             if _scenario_doc(fresh) != _scenario_doc(resumed):
                 sys.exit("cache-hit scenario result diverged from fresh run")
             result = resumed
     elif mode == "telemetry":
         from repro.telemetry.config import TelemetryConfig
 
-        result, series = run_scenario_with_telemetry(
-            spec, TelemetryConfig(interval=50, per_link=True)
+        outcome = execute_outcome(
+            spec, telemetry=TelemetryConfig(interval=50, per_link=True)
         )
+        result, series = outcome.result, outcome.series
         assert series is not None and series.samples, "sampler produced nothing"
         assert any(s.job_flow for s in series.samples), "no per-job flow sampled"
     elif mode == "snapshot":
@@ -403,11 +401,10 @@ def scenario_section(mode: str, workers: int = 2) -> str:
         # mid-run snapshots (saved + reloaded from disk), then read the
         # result back from the persisted sidecar.
         from repro.analysis.store import ResultStore
-        from repro.snapshot.checkpoint import run_spec_checkpointed
 
         with tempfile.TemporaryDirectory() as tmp:
             store = ResultStore(tmp)
-            total = run_spec_checkpointed(spec, store.root, snapshot_every=150)
+            total = execute_point(spec, store_root=store.root, snapshot_every=150)
             payload = store.get_sidecar(SIDECAR_KIND, spec)
             assert payload is not None, "checkpointed run did not persist the sidecar"
             result = ScenarioResult.from_jsonable(payload)

@@ -1,7 +1,7 @@
 """Campaign execution and the ``post:`` emitter registry.
 
 :func:`run_campaign` resolves every expanded point through the run
-layer: steady grids go through an (optional)
+layer: steady and scenario grids go through an
 :class:`~repro.engine.orchestrator.Orchestrator` — workers, result-store
 caching, resume, retry, telemetry and mid-run checkpoints all work on
 campaign points exactly as on hand-built RunSpec grids, because a
@@ -22,7 +22,7 @@ from repro.analysis.results import Series, Table, series_table
 from repro.campaign.aggregate import mean_ci
 from repro.campaign.spec import CampaignError, CampaignPoint, CampaignSpec
 from repro.engine.orchestrator import Orchestrator, summarize
-from repro.engine.runner import run_spec, run_transient
+from repro.engine.runner import run_transient
 
 
 @dataclass
@@ -52,11 +52,11 @@ def run_campaign(
 ) -> CampaignRun:
     """Expand and execute every point; a failed point raises.
 
-    With no orchestrator the grid runs in-process sequentially —
-    bit-identical to the legacy driver path.  With one, steady points
-    get its workers/caching/retry; transient points always run
+    Steady and scenario points get the orchestrator's workers / caching /
+    retry (default: in-process, no store); transient points always run
     in-process (they have no store representation).
     """
+    orchestrator = orchestrator or Orchestrator(workers=0, retries=0)
     points = campaign.expand()
     if campaign.kind == "transient":
         outcomes = [
@@ -66,50 +66,45 @@ def run_campaign(
             )
             for t in (p.transient for p in points)
         ]
-        counts = {"total": len(points), "done": len(points), "cached": 0,
-                  "failed": 0, "wall_time": 0.0}
-        return CampaignRun(campaign, points, outcomes, counts)
+        return CampaignRun(campaign, points, outcomes, _all_done(len(points)))
 
     specs = [p.spec for p in points]
-    if campaign.kind == "scenario":
-        if orchestrator is None:
-            from repro.cluster.runner import run_scenario
+    if campaign.kind == "scenario" and orchestrator.store is None:
+        # A ScenarioResult travels from the executor to the emitters as
+        # a store sidecar; with no store to carry it, the points run
+        # right here.
+        from repro.cluster.runner import run_scenario
 
-            scenario_results = [run_scenario(s) for s in specs]
-            counts = {"total": len(points), "done": len(points), "cached": 0,
-                      "failed": 0, "wall_time": 0.0}
-        else:
-            results = orchestrator.run(specs)
-            counts = summarize(results)
-            for r in results:
-                r.require()
-            scenario_results = _scenario_sidecars(specs, orchestrator.store)
+        scenario_results = [run_scenario(s) for s in specs]
         outcomes = [r.total for r in scenario_results]
-        return CampaignRun(campaign, points, outcomes, counts, scenario_results)
-    if orchestrator is None:
-        outcomes = [run_spec(s) for s in specs]
-        counts = {"total": len(points), "done": len(points), "cached": 0,
-                  "failed": 0, "wall_time": 0.0}
-        return CampaignRun(campaign, points, outcomes, counts)
+        return CampaignRun(
+            campaign, points, outcomes, _all_done(len(points)), scenario_results
+        )
     results = orchestrator.run(specs)
-    counts = summarize(results)
-    outcomes = [r.require() for r in results]
-    return CampaignRun(campaign, points, outcomes, counts)
+    return _finished(campaign, points, results, summarize(results), orchestrator.store)
 
 
-def _scenario_sidecars(specs, store) -> list:
-    """The full ScenarioResult per spec, via the store's sidecars.
+def _all_done(n: int) -> dict:
+    """Orchestrator-summary-shaped counts for points run right here."""
+    return {"total": n, "done": n, "cached": 0, "failed": 0, "wall_time": 0.0}
+
+
+def _finished(campaign, points, results, counts, store) -> CampaignRun:
+    """Strict results (a failed point raises) plus, for scenario
+    campaigns, each point's full ScenarioResult.
 
     Orchestrated and fabric-drained scenario points persist their
     ScenarioResult as a ``scenarios`` sidecar the moment they finish;
     this reads those back (recomputing in-process only if a sidecar is
     missing — e.g. a main-store cache hit that predates the sidecar).
     """
-    from repro.cluster.runner import run_scenario, run_scenario_cached
+    outcomes = [r.require() for r in results]
+    scenario_results = None
+    if campaign.kind == "scenario":
+        from repro.engine.execute import execute_cached
 
-    if store is None:
-        return [run_scenario(s) for s in specs]
-    return [run_scenario_cached(s, store) for s in specs]
+        scenario_results = [execute_cached(p.spec, store) for p in points]
+    return CampaignRun(campaign, points, outcomes, counts, scenario_results)
 
 
 def run_campaign_fabric(campaign: CampaignSpec, store, **drain_options) -> CampaignRun:
@@ -138,19 +133,10 @@ def run_campaign_fabric(campaign: CampaignSpec, store, **drain_options) -> Campa
     from repro.fabric import drain
 
     points = campaign.expand()
-    specs = [p.spec for p in points]
-    results, summary = drain(specs, store, **drain_options)
+    results, summary = drain([p.spec for p in points], store, **drain_options)
     counts = summarize(results)
     counts["fabric"] = summary.render()
-    for r in results:
-        r.require()
-    scenario_results = None
-    if campaign.kind == "scenario":
-        scenario_results = _scenario_sidecars(specs, store)
-        outcomes = [r.total for r in scenario_results]
-    else:
-        outcomes = [r.require() for r in results]
-    return CampaignRun(campaign, points, outcomes, counts, scenario_results)
+    return _finished(campaign, points, results, counts, store)
 
 
 # ----------------------------------------------------------------------

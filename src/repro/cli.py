@@ -63,7 +63,7 @@ from repro.analysis.store import ResultStore
 from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.orchestrator import summarize
-from repro.engine.runner import run_burst, run_spec, run_transient
+from repro.engine.runner import run_burst, run_transient
 from repro.engine.runspec import RunSpec
 from repro.experiments.common import (
     DEFAULT_STORE,
@@ -109,7 +109,6 @@ def cmd_sweep(args) -> None:
     )
     if fabric:
         fabric_store, fabric_opts = fabric_options_from_args(args)
-        orchestrator = None
     else:
         orchestrator = orchestrator_from_args(args)
     loads = [float(x) for x in args.loads.split(",")]
@@ -119,30 +118,25 @@ def cmd_sweep(args) -> None:
                 max_windows=max_windows, backend=default_backend())
         for load in loads
     ]
-    table = Table(f"{args.routing} on {args.pattern} (h={cfg.h})")
-    if orchestrator is None and not fabric:
-        points = [run_spec(spec) for spec in specs]
-        for pt in points:
-            table.add_row(pt.as_row())
-    else:
-        if fabric:
-            from repro.fabric import drain
+    if fabric:
+        from repro.fabric import drain
 
-            results, summary = drain(specs, fabric_store, **fabric_opts)
-            print(summary.render())
+        results, summary = drain(specs, fabric_store, **fabric_opts)
+        print(summary.render())
+    else:
+        results = orchestrator.run(specs)
+    table = Table(f"{args.routing} on {args.pattern} (h={cfg.h})")
+    points = []
+    for res in results:
+        if res.ok:
+            points.append(res.point)
+            table.add_row(res.point.as_row())
         else:
-            results = orchestrator.run(specs)
-        points = []
-        for res in results:
-            if res.ok:
-                points.append(res.point)
-                table.add_row(res.point.as_row())
-            else:
-                table.add_row({"load": round(res.spec.load, 4),
-                               "error": res.error.strip().splitlines()[-1]})
-        counts = summarize(results)
-        print(f"[sweep] {counts['done']} run, {counts['cached']} cached, "
-              f"{counts['failed']} failed")
+            table.add_row({"load": round(res.spec.load, 4),
+                           "error": res.error.strip().splitlines()[-1]})
+    counts = summarize(results)
+    print(f"[sweep] {counts['done']} run, {counts['cached']} cached, "
+          f"{counts['failed']} failed")
     print(table.to_text())
     if args.chart:
         from repro.analysis.plots import throughput_chart
@@ -427,13 +421,13 @@ def cmd_scenario_schedule(args) -> None:
 
 def cmd_scenario_run(args) -> None:
     """Execute the scenario on the network and print per-job outcomes."""
-    from repro.cluster.runner import run_scenario_cached
+    from repro.engine.execute import execute_cached
 
     scenario = _load_scenario_or_exit(args.file)
     cfg = _config(args)
     spec = RunSpec.for_scenario(cfg, scenario, backend=default_backend())
     store = ResultStore(args.store) if args.store else None
-    result = run_scenario_cached(spec, store)
+    result = execute_cached(spec, store)
     table = Table(f"{spec.label()} — per-job outcomes")
     for row in result.jobs:
         cells = {

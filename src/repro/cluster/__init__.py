@@ -38,8 +38,6 @@ from repro.cluster.spec import (
 _RUNNER_EXPORTS = (
     "ScenarioResult",
     "run_scenario",
-    "run_scenario_cached",
-    "run_scenario_with_telemetry",
 )
 
 
@@ -64,6 +62,4 @@ __all__ = [
     "compile_scenario",
     "register_scheduler",
     "run_scenario",
-    "run_scenario_cached",
-    "run_scenario_with_telemetry",
 ]

@@ -15,8 +15,8 @@ concurrent job's mean latency in the ``blast_window`` cycles before vs
 after).
 
 Execution is resumable: the boundary bookkeeping lives in a JSON-safe
-*state* dict that rides inside mid-run checkpoints
-(:func:`repro.snapshot.checkpoint.run_spec_checkpointed` ``extras``),
+*state* dict that rides inside mid-run checkpoints (the point
+executor's ``extras``, :mod:`repro.engine.execute`),
 and the network's failed-link set is part of the snapshot codec — so a
 SIGKILLed scenario resumes bit-identically, faults and all.
 """
@@ -28,20 +28,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.schedule import CompiledScenario, compile_scenario
-from repro.cluster.spec import FaultScheduleSpec, ScenarioSpec
+from repro.cluster.spec import FaultScheduleSpec
+from repro.engine.execute import PointKind, execute_outcome
 from repro.engine.metrics import LoadPoint
 from repro.engine.runspec import RunSpec
 from repro.workloads.composite import CompositeTraffic
 from repro.workloads.runner import jain_across_jobs
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.store import ResultStore
     from repro.engine.simulator import Simulator
-    from repro.telemetry.config import TelemetryConfig
-    from repro.telemetry.sampler import TelemetrySeries
     from repro.topology.dragonfly import Dragonfly
 
-#: Store sidecar kind for cached ScenarioResults (see run_scenario_cached).
+#: Store sidecar kind for ScenarioResults (see repro.engine.execute).
 SIDECAR_KIND = "scenarios"
 
 SCENARIO_RESULT_FORMAT = 1
@@ -226,12 +224,14 @@ def realize_faults(
 # ----------------------------------------------------------------------
 # The boundary-driven advance loop
 # ----------------------------------------------------------------------
-def scenario_plan(scenario: ScenarioSpec, topo: "Dragonfly") -> dict:
-    """Boundary plan: fault events plus blast-radius sample cycles.
+def scenario_plan(compiled: CompiledScenario, topo: "Dragonfly") -> dict:
+    """Boundary plan: the compiled schedule, fault events, and
+    blast-radius sample cycles.
 
     Pure function of (spec, topology) — rebuilt identically on resume,
     so only the *progress* through it needs to ride in checkpoints.
     """
+    scenario = compiled.spec
     horizon = scenario.horizon
     events = realize_faults(scenario.faults, topo, horizon)
     w = scenario.blast_window
@@ -240,7 +240,7 @@ def scenario_plan(scenario: ScenarioSpec, topo: "Dragonfly") -> dict:
         if action != "fail":
             continue
         samples.update((max(0, cycle - w), cycle, min(horizon, cycle + w)))
-    return {"events": events, "samples": sorted(samples)}
+    return {"compiled": compiled, "events": events, "samples": sorted(samples)}
 
 
 def fresh_state() -> dict:
@@ -256,9 +256,11 @@ def _job_sample(metrics) -> dict[str, list[int]]:
 
 
 def advance_scenario(
-    sim: "Simulator", plan: dict, state: dict, target: int
+    sim: "Simulator", plan: dict, extras: dict, target: int
 ) -> None:
-    """Advance to ``target`` cycles, stopping at every plan boundary.
+    """Advance to ``target`` cycles, stopping at every plan boundary
+    (the point executor's ``advance`` hook; progress is
+    ``extras["scenario"]``).
 
     At a boundary the order is fixed: blast samples first (they observe
     the state *before* a same-cycle fault acts), then fault events.
@@ -266,6 +268,7 @@ def advance_scenario(
     plan boundaries may coincide freely.
     """
     events, samples = plan["events"], plan["samples"]
+    state = extras["scenario"]
     while True:
         si = state["sample_idx"]
         while si < len(samples) and samples[si] <= sim.cycle:
@@ -294,12 +297,11 @@ def advance_scenario(
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def build_scenario_sim(spec: RunSpec) -> tuple["Simulator", CompiledScenario]:
-    """Fresh simulator + compiled schedule for one scenario spec."""
+def build_scenario_sim(spec: RunSpec) -> tuple["Simulator", dict]:
+    """Fresh simulator + boundary plan (:func:`scenario_plan`) for one
+    scenario spec."""
     from repro.engine.backend import resolve_backend
 
-    if spec.scenario is None:
-        raise ValueError("spec.scenario must be set to run a scenario")
     config = spec.config
     sim = resolve_backend(spec).simulator(
         config, record_per_source=True, record_per_job=True
@@ -308,7 +310,7 @@ def build_scenario_sim(spec: RunSpec) -> tuple["Simulator", CompiledScenario]:
     sim.generator = CompositeTraffic(
         sim.network.topo, compiled.workload, config.packet_size, config.seed
     )
-    return sim, compiled
+    return sim, scenario_plan(compiled, sim.network.topo)
 
 
 def scenario_offered_load(compiled: CompiledScenario, num_nodes: int) -> float:
@@ -323,36 +325,14 @@ def scenario_offered_load(compiled: CompiledScenario, num_nodes: int) -> float:
 
 def run_scenario(spec: RunSpec) -> ScenarioResult:
     """Execute one scenario spec start to finish."""
-    sim, compiled = build_scenario_sim(spec)
-    plan = scenario_plan(compiled.spec, sim.network.topo)
-    state = fresh_state()
-    advance_scenario(sim, plan, state, compiled.spec.horizon)
-    return summarize_scenario(sim, compiled, plan, state)
+    if spec.scenario is None:
+        raise ValueError("spec.scenario must be set to run a scenario")
+    return execute_outcome(spec).result
 
 
-def run_scenario_with_telemetry(
-    spec: RunSpec, telemetry: "TelemetryConfig | None" = None
-) -> tuple[ScenarioResult, "TelemetrySeries | None"]:
-    """:func:`run_scenario` with an in-run sampler over the whole
-    horizon; the ScenarioResult is bit-identical either way."""
-    cfg = telemetry if telemetry is not None else spec.telemetry
-    if cfg is None:
-        return run_scenario(spec), None
-    from repro.telemetry.sampler import TelemetrySampler
-
-    sim, compiled = build_scenario_sim(spec)
-    plan = scenario_plan(compiled.spec, sim.network.topo)
-    state = fresh_state()
-    sampler = TelemetrySampler(sim, cfg)
-    sampler.attach()
-    advance_scenario(sim, plan, state, compiled.spec.horizon)
-    return summarize_scenario(sim, compiled, plan, state), sampler.finish()
-
-
-def summarize_scenario(
-    sim: "Simulator", compiled: CompiledScenario, plan: dict, state: dict
-) -> ScenarioResult:
+def summarize_scenario(sim: "Simulator", plan: dict, state: dict) -> ScenarioResult:
     """Fold the finished simulation + schedule into a ScenarioResult."""
+    compiled = plan["compiled"]
     generator = sim.generator
     assert isinstance(generator, CompositeTraffic)
     metrics = sim.metrics
@@ -444,30 +424,21 @@ def _blast_table(
 
 
 # ----------------------------------------------------------------------
-# Store integration
+# The scenario row of the point executor's per-kind table
 # ----------------------------------------------------------------------
-def run_scenario_cached(
-    spec: RunSpec, store: "ResultStore | None", use_cache: bool = True
-) -> ScenarioResult:
-    """:func:`run_scenario` through the result store.
+def _summarize_point(sim: "Simulator", spec: RunSpec, plan: dict, extras: dict):
+    result = summarize_scenario(sim, plan, extras["scenario"])
+    return result.total, result
 
-    The full :class:`ScenarioResult` is cached as a store *sidecar*
-    (kind ``"scenarios"``) keyed by the spec fingerprint; the global
-    LoadPoint is additionally written to the main store so orchestrated
-    or fabric-drained sweeps over the same spec hit cache.
-    """
-    if store is not None and use_cache:
-        payload = store.get_sidecar(SIDECAR_KIND, spec)
-        if payload is not None:
-            try:
-                return ScenarioResult.from_jsonable(payload)
-            except (ValueError, KeyError, TypeError):
-                pass  # corrupt sidecar: recompute and overwrite
-    result = run_scenario(spec)
-    if store is not None:
-        store.put_sidecar(SIDECAR_KIND, spec, result.to_jsonable())
-        store.put(spec, result.total)
-    return result
+
+SCENARIO = PointKind(
+    build=build_scenario_sim,
+    begin=lambda sim, plan: {"scenario": fresh_state()},
+    advance=advance_scenario,
+    summarize=_summarize_point,
+    sidecar=SIDECAR_KIND,
+    decode=ScenarioResult.from_jsonable,
+)
 
 
 __all__ = [
@@ -481,8 +452,6 @@ __all__ = [
     "fresh_state",
     "realize_faults",
     "run_scenario",
-    "run_scenario_cached",
-    "run_scenario_with_telemetry",
     "scenario_offered_load",
     "scenario_plan",
     "summarize_scenario",

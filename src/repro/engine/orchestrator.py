@@ -23,8 +23,9 @@ an arbitrary grid with the properties a long sweep needs:
   store under the same fingerprint.
 
 ``workers=0`` runs points in-process (no subprocess, no crash
-protection) — exactly the legacy sequential runner, and the mode the
-thin :func:`~repro.engine.runner.run_load_sweep` wrapper uses.
+protection) — the mode every driver, ``repro sweep`` and ``repro
+campaign run`` use when no ``--workers`` is asked for.  Either way each
+point is executed by :func:`repro.engine.execute.execute_point`.
 Results are deterministic in the specs alone: execution order, worker
 count, retries and cache hits cannot change a LoadPoint.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing as mp
+import os
 import time
 import traceback
 from collections import deque
@@ -42,9 +44,8 @@ from pathlib import Path
 from typing import Callable
 
 from repro.analysis.store import ResultStore
+from repro.engine.execute import execute_point
 from repro.engine.metrics import LoadPoint
-from repro.engine.parallel import default_workers
-from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
 from repro.engine.tracing import ProgressObserver, SweepProgress
 
@@ -54,6 +55,29 @@ STATUS_FAILED = "failed"
 
 # How often the pool loop wakes to check per-point deadlines.
 _POLL_SECONDS = 0.05
+
+
+def available_cpus() -> int:
+    """CPUs actually available to this process.
+
+    ``os.cpu_count()`` reports the machine's CPUs even when a cgroup /
+    container / taskset limit grants far fewer, which oversubscribes CI
+    runners; prefer the scheduling affinity mask where the platform has
+    one (Linux), falling back to ``cpu_count`` elsewhere (macOS).
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return max(1, len(getaffinity(0)))
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 2
+
+
+def default_workers() -> int:
+    """Half the available CPUs, at least 1 — simulations are memory-light
+    but the harness usually runs other things too."""
+    return max(1, available_cpus() // 2)
 
 
 class OrchestratorError(RuntimeError):
@@ -90,115 +114,6 @@ class PointResult:
         )
 
 
-def _execute_spec(spec: RunSpec) -> LoadPoint:
-    """Default worker: the canonical steady-state runner."""
-    return run_spec(spec)
-
-
-def _execute_spec_telemetry(
-    telemetry_dir: str | None, telemetry, store_root: str | None, spec: RunSpec
-) -> LoadPoint:
-    """Default worker with telemetry: run the point, persist its series.
-
-    Module-level + bound via ``functools.partial`` so it pickles into
-    worker processes.  The effective sampling config is the spec's own
-    ``telemetry`` field, else the orchestrator-wide one; with neither
-    this is exactly :func:`_execute_spec`.  The series lands at
-    ``<telemetry_dir>/<fp[:2]>/<fp>.jsonl`` — the result store's layout
-    and atomicity conventions, keyed by the same fingerprint as the
-    point's store entry.  The returned LoadPoint is bit-identical to an
-    untelemetered run (observation never perturbs), which is why the
-    series file can ride alongside the cache without forking its keys.
-
-    Multi-job specs (``spec.workload``) run through the workload runner
-    so the per-job breakdown is not lost: with a store attached
-    (``store_root``), the full WorkloadResult is persisted as a
-    ``workloads`` sidecar under the same fingerprint, and the returned
-    LoadPoint is the run's global summary (which the parent writes to
-    the main store as usual).
-    """
-    cfg = spec.telemetry if spec.telemetry is not None else telemetry
-    if spec.scenario is not None:
-        from repro.cluster.runner import (
-            run_scenario,
-            run_scenario_with_telemetry,
-        )
-
-        if cfg is None:
-            result, series = run_scenario(spec), None
-        else:
-            result, series = run_scenario_with_telemetry(spec, cfg)
-        if store_root is not None:
-            from repro.analysis.store import ResultStore
-            from repro.cluster.runner import SIDECAR_KIND
-
-            ResultStore(store_root).put_sidecar(
-                SIDECAR_KIND, spec, result.to_jsonable()
-            )
-        if telemetry_dir is not None and series is not None:
-            from repro.telemetry.export import write_jsonl
-
-            fp = spec.fingerprint()
-            write_jsonl(series, Path(telemetry_dir) / fp[:2] / f"{fp}.jsonl")
-        return result.total
-    if spec.workload is not None:
-        from repro.workloads.runner import run_workload, run_workload_with_telemetry
-
-        if cfg is None:
-            result, series = run_workload(spec), None
-        else:
-            result, series = run_workload_with_telemetry(spec, cfg)
-        if store_root is not None:
-            from repro.analysis.store import ResultStore
-            from repro.workloads.runner import SIDECAR_KIND
-
-            ResultStore(store_root).put_sidecar(
-                SIDECAR_KIND, spec, result.to_jsonable()
-            )
-        if telemetry_dir is not None and series is not None:
-            from repro.telemetry.export import write_jsonl
-
-            fp = spec.fingerprint()
-            write_jsonl(series, Path(telemetry_dir) / fp[:2] / f"{fp}.jsonl")
-        return result.total
-    if cfg is None:
-        return run_spec(spec)
-    from repro.engine.runner import run_spec_with_telemetry
-    from repro.telemetry.export import write_jsonl
-
-    point, series = run_spec_with_telemetry(spec, cfg)
-    if telemetry_dir is not None and series is not None:
-        fp = spec.fingerprint()
-        write_jsonl(series, Path(telemetry_dir) / fp[:2] / f"{fp}.jsonl")
-    return point
-
-
-def _execute_spec_checkpointed(
-    store_root: str, snapshot_every: int, telemetry_dir: str | None,
-    telemetry, spec: RunSpec, should_stop=None,
-) -> LoadPoint:
-    """Default worker with mid-run checkpointing (``snapshot_every``).
-
-    Runs the point through :func:`repro.snapshot.checkpoint.
-    run_spec_checkpointed`: the full simulator state is saved into the
-    store every N cycles, and a worker that re-attempts the point (after
-    a crash, a SIGKILL, or an orchestrator retry) resumes from the last
-    checkpoint instead of cycle 0 — with a bit-identical final result
-    either way.  Same telemetry and workload/scenario-sidecar behavior
-    as :func:`_execute_spec_telemetry`.  ``should_stop`` is the graceful
-    preemption hook (see the fabric worker's SIGTERM handling): polled
-    at segment boundaries, it checkpoints and raises
-    :class:`~repro.snapshot.checkpoint.Preempted` instead of finishing.
-    """
-    from repro.snapshot.checkpoint import run_spec_checkpointed
-
-    return run_spec_checkpointed(
-        spec, store_root, snapshot_every,
-        telemetry=telemetry, telemetry_dir=telemetry_dir,
-        should_stop=should_stop,
-    )
-
-
 def _child_main(conn, worker, spec) -> None:
     """Subprocess body: run one point, ship the result or the traceback."""
     try:
@@ -231,8 +146,8 @@ class Orchestrator:
     Parameters
     ----------
     workers:
-        Worker processes.  ``0`` = in-process sequential (legacy exact
-        mode, no fault isolation); ``None`` = half the available CPUs.
+        Worker processes.  ``0`` = in-process sequential (no fault
+        isolation); ``None`` = half the available CPUs.
     store:
         Optional :class:`ResultStore` for caching/resume.  Completed
         points are written through immediately; with ``use_cache`` they
@@ -249,15 +164,16 @@ class Orchestrator:
         Progress callback; see :class:`~repro.engine.tracing.SweepProgress`.
     worker:
         The per-point callable ``(RunSpec) -> LoadPoint``.  Must be a
-        module-level (picklable) function; the default is the real
-        runner.  Overriding it is the fault-injection hook the failure
-        tests use.
+        module-level (picklable) function; the default is
+        :func:`~repro.engine.execute.execute_point` with this
+        orchestrator's options bound.  Overriding it is the
+        fault-injection hook the failure tests use.
     telemetry:
         Optional :class:`~repro.telemetry.config.TelemetryConfig`
         applied to every point that does not carry its own
-        ``spec.telemetry``.  Points with an effective config run through
-        :func:`~repro.engine.runner.run_spec_with_telemetry` and their
-        series are persisted under ``telemetry_dir`` (same
+        ``spec.telemetry``.  Points with an effective config run with a
+        sampler attached and their series are persisted under
+        ``telemetry_dir`` (same
         ``<fp[:2]>/<fp>`` layout and atomic writes as the result store,
         ``.jsonl`` suffix).  LoadPoints — and therefore store entries
         and fingerprints — are unchanged.  Cache *hits* skip execution,
@@ -278,7 +194,7 @@ class Orchestrator:
         retries: int = 1,
         timeout: float | None = None,
         observer: ProgressObserver | None = None,
-        worker: Callable[[RunSpec], LoadPoint] = _execute_spec,
+        worker: Callable[[RunSpec], LoadPoint] = execute_point,
         telemetry=None,
         telemetry_dir: str | Path | None = None,
         snapshot_every: int | None = None,
@@ -308,25 +224,22 @@ class Orchestrator:
         self.telemetry = telemetry
         self.telemetry_dir = Path(telemetry_dir) if telemetry_dir is not None else None
         self.snapshot_every = snapshot_every
-        if worker is _execute_spec:
-            # The default worker honors telemetry (orchestrator-wide or
-            # per-spec) and workload sidecars; the partial binds plain
-            # strings so it pickles into worker processes.  With
-            # ``snapshot_every`` it additionally checkpoints mid-run into
-            # the store and resumes from the last checkpoint on retry.
-            tdir = str(self.telemetry_dir) if self.telemetry_dir is not None else None
-            if snapshot_every is not None:
-                worker = functools.partial(
-                    _execute_spec_checkpointed,
-                    str(store.root), snapshot_every, tdir, telemetry,
-                )
-            else:
-                worker = functools.partial(
-                    _execute_spec_telemetry,
-                    tdir,
-                    telemetry,
-                    str(store.root) if store is not None else None,
-                )
+        if worker is execute_point:
+            # The default worker is the one point executor with this
+            # orchestrator's options bound: telemetry (orchestrator-wide
+            # or per-spec), workload/scenario sidecars into the store,
+            # and with ``snapshot_every`` mid-run checkpoints that a
+            # retry resumes from.  Plain strings, so the partial pickles
+            # into worker processes.
+            worker = functools.partial(
+                execute_point,
+                telemetry=telemetry,
+                store_root=str(store.root) if store is not None else None,
+                telemetry_dir=(
+                    str(self.telemetry_dir) if self.telemetry_dir is not None else None
+                ),
+                snapshot_every=snapshot_every,
+            )
         self.worker = worker
 
     # ------------------------------------------------------------------
@@ -393,7 +306,7 @@ class Orchestrator:
         elif result.status == STATUS_FAILED and self.snapshot_every is not None:
             # A point that exhausted its retry budget will never resume:
             # its mid-run checkpoint is dead weight, not a resume seam.
-            # (run_spec_checkpointed only clears on success.)
+            # (The executor only clears on success.)
             from repro.snapshot.checkpoint import clear_checkpoint
 
             clear_checkpoint(self.store.root, result.spec)

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.engine.backend import EngineBackend, resolve_backend
 from repro.engine.config import SimulationConfig
+from repro.engine.execute import execute_point
 from repro.engine.metrics import LoadPoint
 from repro.engine.runspec import RunSpec
 from repro.engine.simulator import Simulator
@@ -23,11 +24,6 @@ from repro.traffic.patterns import make_pattern
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.config import TelemetryConfig
     from repro.telemetry.sampler import TelemetrySeries
-
-#: Convergence tolerance of the windowed measurement protocol
-#: (``RunSpec.max_windows``): consecutive windows whose throughputs
-#: agree within this relative tolerance end the run.
-STABLE_REL_TOL = 0.03
 
 
 def _pattern_rng(config: SimulationConfig, salt: int) -> random.Random:
@@ -64,108 +60,19 @@ def build_steady_sim(
     return sim
 
 
-# Pre-redesign private name; the snapshot/checkpoint layers and external
-# scripts reached for it long enough that keeping the alias is cheaper
-# than the churn.
-_build_steady_sim = build_steady_sim
-
-
-def _measure_windows(
-    sim: Simulator, spec: RunSpec, rel_tol: float = STABLE_REL_TOL
-) -> LoadPoint:
-    """The windowed-convergence measurement loop (``spec.max_windows``).
-
-    Measures in ``spec.measure``-cycle windows until two consecutive
-    windows' throughputs agree within ``rel_tol`` (or ``max_windows``
-    elapse); returns the final window's LoadPoint.  With
-    ``max_windows=1`` this is bit-identical to the fixed-window path.
-    """
-    assert spec.max_windows is not None
-    previous: float | None = None
-    point = None
-    for _ in range(spec.max_windows):
-        sim.metrics.reset(sim.cycle)
-        sim.run(spec.measure)
-        point = sim.metrics.load_point(spec.load, sim.cycle)
-        if previous is not None:
-            scale = max(previous, point.throughput, 1e-9)
-            if abs(point.throughput - previous) / scale <= rel_tol:
-                return point
-        previous = point.throughput
-    assert point is not None
-    return point
-
-
 def run_spec(spec: RunSpec) -> LoadPoint:
     """Warm up, measure, and summarize one :class:`RunSpec` point.
 
-    This is the canonical steady-state entry point; everything else
-    (the parallel pool, the orchestrator, the campaign runner) is a
-    wrapper that constructs a ``RunSpec`` and lands here.  The engine
-    executing the point is chosen by ``spec.backend`` via
-    :func:`~repro.engine.backend.resolve_backend`.
-
-    Multi-job specs (``spec.workload``) dispatch to the workload runner
-    and report the *global* LoadPoint; use
-    :func:`repro.workloads.runner.run_workload` directly for the
-    per-job breakdown.  Specs with ``max_windows`` set measure with the
-    windowed-convergence protocol (:func:`_measure_windows`) instead of
-    one fixed window.
+    The in-process entry to the one point executor
+    (:func:`repro.engine.execute.execute_point`), which the orchestrator
+    and the fabric workers call too.  The engine executing the point is
+    chosen by ``spec.backend``.  Multi-job and scenario specs report the
+    *global* LoadPoint; use :func:`repro.workloads.runner.run_workload`
+    / :func:`repro.cluster.runner.run_scenario` for the per-job
+    breakdown.  Specs with ``max_windows`` set measure with the
+    windowed-convergence protocol instead of one fixed window.
     """
-    if spec.scenario is not None:
-        from repro.cluster.runner import run_scenario
-
-        return run_scenario(spec).total
-    if spec.workload is not None:
-        from repro.workloads.runner import run_workload
-
-        return run_workload(spec).total
-    sim = resolve_backend(spec).build(spec)
-    sim.warm_up(spec.warmup)
-    if spec.max_windows is not None:
-        return _measure_windows(sim, spec)
-    sim.run(spec.measure)
-    return sim.metrics.load_point(spec.load, sim.cycle)
-
-
-def run_spec_with_telemetry(
-    spec: RunSpec, telemetry: "TelemetryConfig | None" = None
-):
-    """:func:`run_spec` with an in-run telemetry sampler attached.
-
-    Returns ``(LoadPoint, TelemetrySeries | None)``.  The sampler covers
-    the *measurement* window (attached after warm-up, exactly when the
-    metrics window resets).  The effective config is ``telemetry`` if
-    given, else ``spec.telemetry``; when both are None the series is
-    None and this is exactly :func:`run_spec`.  The LoadPoint is
-    bit-identical either way — observation never perturbs (the
-    determinism fingerprint's ``--telemetry`` mode asserts this).
-    """
-    from repro.telemetry.sampler import TelemetrySampler
-
-    cfg = telemetry if telemetry is not None else spec.telemetry
-    if cfg is None:
-        return run_spec(spec), None
-    if spec.scenario is not None:
-        from repro.cluster.runner import run_scenario_with_telemetry
-
-        result, series = run_scenario_with_telemetry(spec, cfg)
-        return result.total, series
-    if spec.workload is not None:
-        from repro.workloads.runner import run_workload_with_telemetry
-
-        result, series = run_workload_with_telemetry(spec, cfg)
-        return result.total, series
-    sim = resolve_backend(spec).build(spec)
-    sim.warm_up(spec.warmup)
-    sampler = TelemetrySampler(sim, cfg)
-    sampler.attach()
-    if spec.max_windows is not None:
-        point = _measure_windows(sim, spec)
-    else:
-        sim.run(spec.measure)
-        point = sim.metrics.load_point(spec.load, sim.cycle)
-    return point, sampler.finish()
+    return execute_point(spec)
 
 
 def run_load_sweep(

@@ -3,8 +3,8 @@
 A steady-state simulation point is fully determined by five values —
 the :class:`~repro.engine.config.SimulationConfig`, the traffic-pattern
 spec string, the offered load, and the warm-up / measurement windows.
-``RunSpec`` freezes them into one hashable value that the runner, the
-parallel pool, the orchestrator and the on-disk result store all
+``RunSpec`` freezes them into one hashable value that the point
+executor, the orchestrator, the fabric and the on-disk result store all
 consume, so "the same point" means the same thing everywhere.
 
 Two derived encodings matter:

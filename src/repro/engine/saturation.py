@@ -19,7 +19,8 @@ from __future__ import annotations
 from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.metrics import LoadPoint
-from repro.engine.runner import _measure_windows, build_steady_sim, run_spec
+from repro.engine.execute import STABLE_REL_TOL, windows_agree
+from repro.engine.runner import build_steady_sim, run_spec
 from repro.engine.runspec import RunSpec
 
 
@@ -76,7 +77,7 @@ def run_until_stable(
     pattern_spec: str,
     load: float,
     window: int = 1_000,
-    rel_tol: float = 0.03,
+    rel_tol: float = STABLE_REL_TOL,
     max_windows: int = 12,
 ) -> LoadPoint:
     """Steady-state measurement with automatic convergence detection.
@@ -92,13 +93,14 @@ def run_until_stable(
     sweep point there — same pattern/generator seed derivation,
     per-source recording included.  (It used to hand-build its
     simulator with private RNG salts, making probe points incomparable
-    to sweep points.)  The measurement loop itself is the runner's
-    :func:`~repro.engine.runner._measure_windows` — the same protocol
+    to sweep points.)  The stopping rule is the point executor's
+    :func:`~repro.engine.execute.windows_agree` — the same protocol
     ``repro sweep --saturating`` and the campaign ``{saturating,
     points, max_windows}`` shorthand request — so with the default
     ``rel_tol`` this call is bit-identical to ``run_spec`` of that
     spec; with ``max_windows=1`` it is bit-identical to ``run_spec``
-    at fixed ``warmup=measure=window``.
+    at fixed ``warmup=measure=window``.  (It drives the simulator by
+    hand because ``rel_tol`` is not something a RunSpec can express.)
     """
     spec = RunSpec(
         config, pattern_spec, load, warmup=window, measure=window,
@@ -106,4 +108,12 @@ def run_until_stable(
     )
     sim = build_steady_sim(spec)
     sim.warm_up(window)
-    return _measure_windows(sim, spec, rel_tol=rel_tol)
+    previous = None
+    for _ in range(max_windows):
+        sim.metrics.reset(sim.cycle)
+        sim.run(window)
+        point = sim.metrics.load_point(load, sim.cycle)
+        if previous is not None and windows_agree(previous, point.throughput, rel_tol):
+            break
+        previous = point.throughput
+    return point

@@ -2,10 +2,11 @@
 
 Besides the :class:`Scale` presets this module owns the drivers'
 execution context: every driver funnels its steady-state points through
-:func:`run_specs`, which either runs them in-process (the default — the
-exact legacy sequential behavior benchmarks rely on) or through an
-installed :class:`~repro.engine.orchestrator.Orchestrator` (parallel
-workers, result-store caching, resume, per-point fault tolerance).
+:func:`run_specs`, i.e. through the installed
+:class:`~repro.engine.orchestrator.Orchestrator` — by default an
+in-process, store-less one (sequential, the first failure raises); the
+shared flags swap in parallel workers, result-store caching, resume and
+per-point fault tolerance.
 
 The ``--workers/--resume/--store/--no-cache/--progress/--timeout/
 --telemetry/--snapshot-every`` options every
@@ -25,7 +26,6 @@ from repro.analysis.results import Series
 from repro.engine.backend import default_backend, set_default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.orchestrator import Orchestrator
-from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
 
 #: Default result-store directory used by ``--resume`` when no
@@ -105,13 +105,13 @@ def get_scale(name: str) -> Scale:
 # Orchestration context
 # ----------------------------------------------------------------------
 
-_ORCHESTRATOR: Orchestrator | None = None
+_ORCHESTRATOR = Orchestrator(workers=0, retries=0)
 
 
-def set_orchestrator(orchestrator: Orchestrator | None) -> None:
+def set_orchestrator(orchestrator: Orchestrator) -> None:
     """Install the orchestrator every driver's :func:`run_specs` uses.
 
-    ``None`` (the default) means plain in-process sequential execution —
+    The default is in-process sequential execution with no store —
     bit-identical to calling :func:`repro.engine.runner.run_spec` in a
     loop, which is what tests and benchmarks expect.
     """
@@ -119,12 +119,12 @@ def set_orchestrator(orchestrator: Orchestrator | None) -> None:
     _ORCHESTRATOR = orchestrator
 
 
-def current_orchestrator() -> Orchestrator | None:
+def current_orchestrator() -> Orchestrator:
     return _ORCHESTRATOR
 
 
 @contextmanager
-def orchestration(orchestrator: Orchestrator | None):
+def orchestration(orchestrator: Orchestrator):
     """Scoped :func:`set_orchestrator` (restores the previous context)."""
     previous = _ORCHESTRATOR
     set_orchestrator(orchestrator)
@@ -137,15 +137,10 @@ def orchestration(orchestrator: Orchestrator | None):
 def run_specs(specs: list[RunSpec]) -> list:
     """Resolve steady-state points through the installed context.
 
-    This is the drivers' single entry to the run layer: with no
-    orchestrator installed it is a sequential in-process loop; with one
-    installed the grid gets workers, caching, retry and progress.  A
-    failed point raises either way (figure tables need every cell).
+    This is the drivers' single entry to the run layer.  A failed point
+    raises its original exception (figure tables need every cell).
     """
-    orchestrator = _ORCHESTRATOR
-    if orchestrator is None:
-        return [run_spec(s) for s in specs]
-    return orchestrator.run_points(specs)
+    return _ORCHESTRATOR.run_points(specs)
 
 
 def sweep(
@@ -359,26 +354,10 @@ def fabric_options_from_args(args: argparse.Namespace):
     return store, options
 
 
-def fabric_run_from_args(args: argparse.Namespace, specs):
-    """Interpret an :func:`add_run_args` namespace as one fabric worker.
+def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator:
+    """Interpret an :func:`add_run_args` namespace.
 
-    The ``--fabric`` counterpart of :func:`orchestrator_from_args`:
-    drains ``specs`` cooperatively (:func:`repro.fabric.drain`) honoring
-    ``--snapshot-every``, ``--telemetry``, ``--progress``,
-    ``--lease-ttl``, ``--max-attempts`` and ``--worker-id``.  Returns
-    ``(results, summary)`` — orchestrator
-    :class:`~repro.engine.orchestrator.PointResult` values in spec
-    order plus the worker's :class:`~repro.fabric.FabricSummary`.
-    """
-    from repro.fabric import drain
-
-    store, options = fabric_options_from_args(args)
-    return drain(specs, store, **options)
-
-
-def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator | None:
-    """Interpret an :func:`add_run_args` namespace (None = legacy).
-
+    With no flags this is an in-process orchestrator with no store.
     Besides building the orchestrator, this installs the requested
     engine backend as the process-wide default
     (:func:`repro.engine.backend.set_default_backend`), so every spec
@@ -392,7 +371,7 @@ def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator | None:
 
     if getattr(args, "fabric", False) or getattr(args, "coordinator", None):
         # Commands that support cooperative draining branch to
-        # fabric_run_from_args before ever building an orchestrator;
+        # fabric_options_from_args before ever building an orchestrator;
         # reaching here means this command cannot honor the flag.
         raise SystemExit(
             "--fabric/--coordinator are supported on 'repro sweep' and "
@@ -426,18 +405,6 @@ def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator | None:
             )
         if workers is None:
             workers = 1
-    wants = (
-        workers is not None
-        or store_dir is not None
-        or args.progress
-        or args.timeout is not None
-        # A non-default retry budget needs the orchestrator: the legacy
-        # no-orchestrator path raises on the first failed point.
-        or args.retries != 1
-        or telemetry is not None
-    )
-    if not wants:
-        return None
     return Orchestrator(
         workers=workers if workers is not None else 0,
         store=ResultStore(store_dir) if store_dir is not None else None,

@@ -69,7 +69,7 @@ def run_timeline(
     (``cc_*``).  Without the mechanism the backlog and ring pressure
     climb monotonically (the collapse of Fig. 9); with it they plateau.
     """
-    from repro.engine.runner import run_spec_with_telemetry
+    from repro.engine.execute import execute_outcome
     from repro.telemetry.config import TelemetryConfig
 
     if interval is None:
@@ -83,8 +83,8 @@ def run_timeline(
         spec = scale.spec(
             "ofar", pattern, load, escape="embedded", congestion_control=cc
         )
-        _, series = run_spec_with_telemetry(spec, TelemetryConfig(interval=interval))
-        runs["cc" if cc else "none"] = series
+        outcome = execute_outcome(spec, telemetry=TelemetryConfig(interval=interval))
+        runs["cc" if cc else "none"] = outcome.series
     for none_s, cc_s in zip(runs["none"].samples, runs["cc"].samples):
         table.add_row({
             "cycle": none_s.cycle,

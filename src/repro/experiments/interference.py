@@ -38,12 +38,8 @@ from repro.analysis.results import Table
 from repro.engine.runspec import RunSpec
 from repro.experiments.common import Scale, cli_scale, current_orchestrator
 from repro.topology.dragonfly import Dragonfly
-from repro.workloads.runner import (
-    WorkloadResult,
-    isolated_spec,
-    job_slowdowns,
-    run_workload_cached,
-)
+from repro.engine.execute import execute_cached
+from repro.workloads.runner import WorkloadResult, isolated_spec, job_slowdowns
 from repro.workloads.spec import JobSpec, WorkloadSpec
 
 #: The two routings the acceptance question compares; extend via run().
@@ -121,13 +117,9 @@ def run_routing(
 
 def _run(spec: RunSpec) -> WorkloadResult:
     """Resolve one workload point through the installed orchestration
-    context's store (cache + checkpoint), if any."""
+    context's store (sidecar cache), if it has one."""
     orchestrator = current_orchestrator()
-    if orchestrator is None:
-        return run_workload_cached(spec, store=None)
-    return run_workload_cached(
-        spec, store=orchestrator.store, use_cache=orchestrator.use_cache
-    )
+    return execute_cached(spec, orchestrator.store, orchestrator.use_cache)
 
 
 def run(

@@ -1,13 +1,14 @@
 """FabricWorker: the claim -> run -> write -> release loop.
 
 One :class:`FabricWorker` is one peer in a fleet.  It executes points
-through the orchestrator's own per-point worker path — the exact
-functions a single-host sweep runs, including ``--snapshot-every``
-mid-run checkpointing — so a fabric-drained campaign's store entries
-are byte-identical (spec + point) to a single-host orchestrator run.
+through the one point executor
+(:func:`repro.engine.execute.execute_point`) — the function a
+single-host sweep runs, including ``--snapshot-every`` mid-run
+checkpointing — so a fabric-drained campaign's store entries are
+byte-identical (spec + point) to a single-host orchestrator run.
 Spot-style preemption falls out: a SIGKILLed worker's lease expires,
-another worker reclaims it, and ``run_spec_checkpointed`` resumes the
-point from its last checkpoint with a bit-identical final result.
+another worker reclaims it, and the executor resumes the point from
+its last checkpoint with a bit-identical final result.
 
 While a point runs, a daemon heartbeat thread renews the lease every
 ``ttl/3`` seconds (touching nothing in the simulation — observation
@@ -34,13 +35,12 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro.analysis.store import ResultStore
+from repro.engine.execute import execute_point
 from repro.engine.orchestrator import (
     STATUS_CACHED,
     STATUS_DONE,
     STATUS_FAILED,
     PointResult,
-    _execute_spec_checkpointed,
-    _execute_spec_telemetry,
 )
 from repro.engine.runspec import RunSpec
 from repro.engine.tracing import ProgressObserver, SweepProgress
@@ -140,9 +140,9 @@ class FabricWorker:
     Parameters mirror the orchestrator where they overlap:
 
     snapshot_every:
-        Checkpoint each in-flight point to the store every N cycles
-        (``run_spec_checkpointed``); a reclaimed point resumes from its
-        last checkpoint on whichever worker picks it up.
+        Checkpoint each in-flight point to the store every N cycles; a
+        reclaimed point resumes from its last checkpoint on whichever
+        worker picks it up.
     telemetry / telemetry_dir:
         As on :class:`~repro.engine.orchestrator.Orchestrator`; series
         land under ``<store>/telemetry`` by default.
@@ -184,27 +184,20 @@ class FabricWorker:
         self.snapshot_every = snapshot_every
         if telemetry_dir is None:
             telemetry_dir = self.store.root / "telemetry"
-        tdir = str(telemetry_dir)
         # Graceful (spot-style) preemption: SIGTERM sets this event; a
         # checkpointed in-flight point saves its state and releases its
         # lease immediately instead of waiting for lease expiry.
         self.preempted = threading.Event()
-        if execute is not None:
-            self._execute = execute
-        elif snapshot_every is not None:
-            checkpointed = functools.partial(
-                _execute_spec_checkpointed,
-                str(self.store.root), snapshot_every, tdir, telemetry,
-            )
-            # Executed in-process (never pickled), so closing over the
-            # event is fine where a partial would be needed for workers.
-            self._execute = lambda spec: checkpointed(
-                spec, should_stop=self.preempted.is_set
-            )
-        else:
-            self._execute = functools.partial(
-                _execute_spec_telemetry, tdir, telemetry, str(self.store.root),
-            )
+        # Executed in-process (never pickled), so binding the event's
+        # bound method is fine.
+        self._execute = execute or functools.partial(
+            execute_point,
+            telemetry=telemetry,
+            store_root=str(self.store.root),
+            telemetry_dir=str(telemetry_dir),
+            snapshot_every=snapshot_every,
+            should_stop=self.preempted.is_set,
+        )
         self.executed = 0
         self.failed = 0
         self.reclaimed = 0

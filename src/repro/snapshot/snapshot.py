@@ -114,13 +114,9 @@ class Snapshot:
                 "fork() needs an embedded RunSpec (capture with spec=...) "
                 "or an explicit build callable"
             )
-        if spec.workload is not None:
-            from repro.workloads.runner import build_workload_sim
+        from repro.engine.execute import build_sim
 
-            return self.restore_into(build_workload_sim(spec))
-        from repro.engine.runner import _build_steady_sim
-
-        return self.restore_into(_build_steady_sim(spec))
+        return self.restore_into(build_sim(spec))
 
     # ------------------------------------------------------------------
     def to_jsonable(self) -> dict:

@@ -17,8 +17,6 @@ _RUNNER_EXPORTS = {
     "WorkloadResult",
     "build_workload_sim",
     "run_workload",
-    "run_workload_with_telemetry",
-    "run_workload_cached",
     "isolated_spec",
     "job_slowdowns",
     "jain_across_jobs",

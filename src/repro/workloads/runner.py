@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
+from repro.engine.execute import PointKind, execute_outcome, run_to
 from repro.engine.metrics import LoadPoint
 from repro.engine.runspec import RunSpec
 from repro.engine.simulator import Simulator
@@ -44,12 +44,7 @@ from repro.workloads.composite import CompositeTraffic
 from repro.workloads.placement import place_jobs
 from repro.workloads.spec import WorkloadSpec
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.store import ResultStore
-    from repro.telemetry.config import TelemetryConfig
-    from repro.telemetry.sampler import TelemetrySeries
-
-#: Store sidecar kind for cached WorkloadResults (see run_workload_cached).
+#: Store sidecar kind for WorkloadResults (see repro.engine.execute).
 SIDECAR_KIND = "workloads"
 
 WORKLOAD_RESULT_FORMAT = 1
@@ -149,51 +144,33 @@ def total_offered_load(generator: CompositeTraffic, num_nodes: int) -> float:
 
 def run_workload(spec: RunSpec) -> WorkloadResult:
     """Warm up, measure, and attribute one multi-job spec."""
-    sim = build_workload_sim(spec)
-    sim.warm_up(spec.warmup)
-    baseline = _job_phit_baseline(sim.network)
-    sim.run(spec.measure)
-    return _summarize(sim, baseline)
+    if spec.workload is None:
+        raise ValueError("spec.workload must be set to run a workload")
+    return execute_outcome(spec).result
 
 
-def run_workload_with_telemetry(
-    spec: RunSpec, telemetry: "TelemetryConfig | None" = None
-) -> tuple[WorkloadResult, "TelemetrySeries | None"]:
-    """:func:`run_workload` with an in-run sampler over the measurement
-    window; the WorkloadResult is bit-identical either way."""
-    cfg = telemetry if telemetry is not None else spec.telemetry
-    if cfg is None:
-        return run_workload(spec), None
-    from repro.telemetry.sampler import TelemetrySampler
-
-    sim = build_workload_sim(spec)
-    sim.warm_up(spec.warmup)
-    baseline = _job_phit_baseline(sim.network)
-    sampler = TelemetrySampler(sim, cfg)
-    sampler.attach()
-    sim.run(spec.measure)
-    return _summarize(sim, baseline), sampler.finish()
-
-
-def _job_phit_baseline(network) -> dict[tuple[int, int], dict[int, int]]:
-    """Snapshot per-channel per-job phit counters at window start."""
-    return {
-        (rt.rid, ch.port): dict(ch.job_phits)
+def _job_phit_baseline(network) -> list:
+    """Per-channel per-job phit counters at window start, as JSON-safe
+    ``[rid, port, [[job, phits], ...]]`` triples (the baseline rides in
+    mid-run checkpoints)."""
+    return [
+        [rt.rid, ch.port, [[j, p] for j, p in ch.job_phits.items()]]
         for rt in network.routers
         for ch in rt.out
         if ch is not None and ch.kind_code != CODE_NODE
-    }
+    ]
 
 
-def _summarize(
-    sim: Simulator, baseline: dict[tuple[int, int], dict[int, int]]
-) -> WorkloadResult:
+def _summarize(sim: Simulator, baseline: list) -> WorkloadResult:
+    """Fold the finished window into a WorkloadResult; ``baseline`` is
+    :func:`_job_phit_baseline`'s value from the window start."""
     generator = sim.generator
     assert isinstance(generator, CompositeTraffic)
     metrics = sim.metrics
     num_nodes = sim.network.topo.num_nodes
     cycle = sim.cycle
     window = max(1, cycle - metrics.window_start)
+    at_start = {(rid, port): dict(pairs) for rid, port, pairs in baseline}
 
     total = metrics.load_point(total_offered_load(generator, num_nodes), cycle)
     jobs = [
@@ -213,7 +190,7 @@ def _summarize(
         for ch in rt.out:
             if ch is None or ch.kind_code == CODE_NODE or not ch.job_phits:
                 continue
-            base = baseline.get((rt.rid, ch.port), {})
+            base = at_start.get((rt.rid, ch.port), {})
             rates = [
                 (job, (phits - base.get(job, 0)) / window)
                 for job, phits in ch.job_phits.items()
@@ -232,6 +209,22 @@ def _summarize(
         jain_across_jobs=jain_across_jobs([jr.point.throughput for jr in jobs]),
         interference=matrix,
     )
+
+
+def _summarize_point(sim: Simulator, spec: RunSpec, plan, extras: dict):
+    result = _summarize(sim, extras["baseline"])
+    return result.total, result
+
+
+#: The workload row of the point executor's per-kind table.
+WORKLOAD = PointKind(
+    build=lambda spec: (build_workload_sim(spec), None),
+    begin=lambda sim, plan: {"baseline": _job_phit_baseline(sim.network)},
+    advance=run_to,
+    summarize=_summarize_point,
+    sidecar=SIDECAR_KIND,
+    decode=WorkloadResult.from_jsonable,
+)
 
 
 def jain_across_jobs(throughputs: list[float]) -> float:
@@ -291,31 +284,3 @@ def job_slowdowns(
         base = isolated[jr.name].job(jr.name).point.avg_latency
         out[jr.name] = jr.point.avg_latency / base
     return out
-
-
-# ----------------------------------------------------------------------
-# Store integration
-# ----------------------------------------------------------------------
-def run_workload_cached(
-    spec: RunSpec, store: "ResultStore | None", use_cache: bool = True
-) -> WorkloadResult:
-    """:func:`run_workload` through the result store.
-
-    The full :class:`WorkloadResult` is cached as a store *sidecar*
-    (kind ``"workloads"``) keyed by the spec fingerprint; the global
-    LoadPoint is additionally written to the main store so orchestrated
-    sweeps over the same spec hit cache.  A hit round-trips through
-    JSON, which is lossless — cached and fresh results are identical.
-    """
-    if store is not None and use_cache:
-        payload = store.get_sidecar(SIDECAR_KIND, spec)
-        if payload is not None:
-            try:
-                return WorkloadResult.from_jsonable(payload)
-            except (ValueError, KeyError, TypeError):
-                pass  # corrupt sidecar: recompute and overwrite
-    result = run_workload(spec)
-    if store is not None:
-        store.put_sidecar(SIDECAR_KIND, spec, result.to_jsonable())
-        store.put(spec, result.total)
-    return result

@@ -19,8 +19,6 @@ from repro.cluster.runner import (
     ScenarioResult,
     realize_faults,
     run_scenario,
-    run_scenario_cached,
-    run_scenario_with_telemetry,
 )
 from repro.cluster.schedule import (
     SCHEDULERS,
@@ -39,6 +37,7 @@ from repro.cluster.spec import (
     ScenarioSpec,
 )
 from repro.engine.config import SimulationConfig
+from repro.engine.execute import execute_cached, execute_outcome, execute_point
 from repro.engine.runspec import RunSpec
 from repro.topology.dragonfly import Dragonfly
 
@@ -246,22 +245,18 @@ class TestRunScenario:
 
         spec = scenario_spec()
         plain = run_scenario(spec)
-        watched, series = run_scenario_with_telemetry(
-            spec, TelemetryConfig(interval=50)
-        )
-        assert doc(watched) == doc(plain)
-        assert series is not None and series.samples
-        assert any(s.job_flow for s in series.samples)
+        watched = execute_outcome(spec, telemetry=TelemetryConfig(interval=50))
+        assert doc(watched.result) == doc(plain)
+        assert watched.series is not None and watched.series.samples
+        assert any(s.job_flow for s in watched.series.samples)
 
 
 class TestCheckpointAndCache:
     def test_checkpointed_run_matches_plain(self, tmp_path):
-        from repro.snapshot.checkpoint import run_spec_checkpointed
-
         spec = scenario_spec()
         baseline = run_scenario(spec)
         store = ResultStore(tmp_path)
-        total = run_spec_checkpointed(spec, store.root, snapshot_every=150)
+        total = execute_point(spec, store_root=store.root, snapshot_every=150)
         assert total == baseline.total
         payload = store.get_sidecar(SIDECAR_KIND, spec)
         assert json.dumps(payload, sort_keys=True) == doc(baseline)
@@ -269,20 +264,20 @@ class TestCheckpointAndCache:
     def test_sidecar_cache_hit_skips_the_network(self, tmp_path, monkeypatch):
         spec = scenario_spec()
         store = ResultStore(tmp_path)
-        first = run_scenario_cached(spec, store)
+        first = execute_cached(spec, store)
         monkeypatch.setattr(
-            "repro.cluster.runner.run_scenario",
-            lambda _s: pytest.fail("cache hit must not re-run the scenario"),
+            "repro.engine.execute.execute_outcome",
+            lambda *_a, **_k: pytest.fail("cache hit must not re-run the scenario"),
         )
-        second = run_scenario_cached(spec, store)
+        second = execute_cached(spec, store)
         assert doc(second) == doc(first)
 
     def test_corrupt_sidecar_recomputes(self, tmp_path):
         spec = scenario_spec()
         store = ResultStore(tmp_path)
-        baseline = run_scenario_cached(spec, store)
+        baseline = execute_cached(spec, store)
         store.put_sidecar(SIDECAR_KIND, spec, {"format": 999})
-        again = run_scenario_cached(spec, store)
+        again = execute_cached(spec, store)
         assert doc(again) == doc(baseline)
         # and the overwrite healed the sidecar
         assert json.dumps(store.get_sidecar(SIDECAR_KIND, spec),

@@ -210,7 +210,7 @@ class TestRemoteStore:
         s = spec()
         # The execution layer stages provenance sidecars in the spool
         # through a plain local ResultStore (exactly what
-        # _execute_spec_telemetry does)...
+        # execute_outcome does with its store_root)...
         ResultStore(spool).put_sidecar("workloads", s, {"kind": "synthetic"})
         store.put(s, run_spec(s))
         # ...and put ships them: the coordinator's store has both.

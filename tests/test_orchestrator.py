@@ -19,6 +19,7 @@ from repro.engine.config import SimulationConfig
 from repro.engine.orchestrator import (
     Orchestrator,
     OrchestratorError,
+    default_workers,
     summarize,
 )
 from repro.engine.runner import run_spec
@@ -69,20 +70,65 @@ def specs(loads, routing="min", seed=3):
     return [RunSpec(cfg, "UN", load, 100, 100) for load in loads]
 
 
+def grid_of(tasks, warmup, measure):
+    """(routing, pattern, load) triples at default-seed h=2 configs."""
+    return [
+        RunSpec(SimulationConfig.small(h=2, routing=routing), pattern, load,
+                warmup, measure)
+        for routing, pattern, load in tasks
+    ]
+
+
+#: Grids the process pool must reproduce bit-for-bit: (workers, specs).
+POOL_GRIDS = {
+    "ofar-uniform": (2, specs([0.1, 0.3], routing="ofar")),
+    "min-uniform": (2, grid_of([("min", "UN", 0.1), ("min", "UN", 0.3)], 200, 200)),
+    # The adversarial OFAR path (misroute rng, escape ring, wake events)
+    # is the determinism regression for the active-set engine.
+    "ofar-adversarial": (
+        2, grid_of([("ofar", "ADV+2", 0.1), ("ofar", "ADV+2", 0.35)], 200, 200)),
+    "mixed-configs": (
+        2, grid_of([("min", "UN", 0.2), ("ofar", "ADV+2", 0.3)], 150, 150)),
+    "single-point": (2, grid_of([("pb", "ADV+1", 0.25)], 200, 200)),
+    "single-worker": (1, grid_of([("min", "UN", 0.1)], 100, 100)),
+    # Zero load: nothing ejects, the per-packet averages are NaN.
+    "empty-window": (2, grid_of([("min", "UN", 0.0)], 50, 50)),
+}
+
+
 class TestSequentialEquivalence:
     def test_inline_matches_direct(self):
         grid = specs([0.1, 0.3])
         assert Orchestrator(workers=0).run_points(grid) == [run_spec(s) for s in grid]
 
-    def test_process_pool_matches_direct(self):
-        grid = specs([0.1, 0.3], routing="ofar")
-        assert Orchestrator(workers=2).run_points(grid) == [run_spec(s) for s in grid]
+    @pytest.mark.parametrize("name", POOL_GRIDS)
+    def test_process_pool_matches_direct(self, name):
+        workers, grid = POOL_GRIDS[name]
+        pool = Orchestrator(workers=workers).run_points(grid)
+        direct = [run_spec(s) for s in grid]
+        # to_json covers every field and, unlike ==, is NaN-safe.
+        assert [p.to_json() for p in pool] == [p.to_json() for p in direct]
+        assert [p.offered_load for p in pool] == [s.load for s in grid]
+        if name == "empty-window":
+            assert pool[0].ejected_packets == 0  # the edge being pinned
+            assert pool[0].as_row() == direct[0].as_row()
+            assert pool[0].as_row()["latency"] is None
+        else:
+            assert pool == direct  # LoadPoint is a plain dataclass
 
-    def test_results_in_spec_order(self):
-        grid = specs([0.3, 0.1, 0.2])
+    @pytest.mark.parametrize("grid", [
+        specs([0.3, 0.1, 0.2]),
+        grid_of([("min", "UN", 0.3), ("min", "UN", 0.1), ("min", "UN", 0.2)],
+                150, 150),
+    ], ids=["short", "long"])
+    def test_results_in_spec_order(self, grid):
         results = Orchestrator(workers=3).run(grid)
         assert [r.spec.load for r in results] == [0.3, 0.1, 0.2]
+        assert [r.point.offered_load for r in results] == [0.3, 0.1, 0.2]
         assert all(r.status == "done" for r in results)
+
+    def test_default_workers_positive(self):
+        assert default_workers() >= 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -289,11 +335,9 @@ class TestFingerprintDeterminism:
 class TestOrchestratorFromArgs:
     """The shared --workers/--timeout/--retries flag wiring.
 
-    Regressions pinned here: --timeout without --workers used to build
+    Regression pinned here: --timeout without --workers used to build
     an in-process orchestrator whose timeout was silently never
-    enforced, and --retries alone never built an orchestrator at all
-    (the legacy sequential path raises on the first failure, so the
-    retry budget was dead).
+    enforced.
     """
 
     @staticmethod
@@ -307,8 +351,9 @@ class TestOrchestratorFromArgs:
 
         return orchestrator_from_args(self._parse(argv))
 
-    def test_no_flags_means_legacy_sequential(self):
-        assert self._build([]) is None
+    def test_no_flags_means_in_process_without_store(self):
+        orch = self._build([])
+        assert orch.workers == 0 and orch.store is None
 
     def test_retries_alone_builds_orchestrator(self):
         orch = self._build(["--retries", "3"])
@@ -316,8 +361,10 @@ class TestOrchestratorFromArgs:
         assert orch.retries == 3
         assert orch.workers == 0  # in-process, but with a retry budget
 
-    def test_default_retries_alone_does_not(self):
-        assert self._build(["--retries", "1"]) is None
+    def test_default_retries_alone_is_the_no_flag_orchestrator(self):
+        orch = self._build(["--retries", "1"])
+        assert orch.workers == 0 and orch.store is None
+        assert orch.retries == 1
 
     def test_timeout_promotes_to_one_worker(self):
         orch = self._build(["--timeout", "5"])

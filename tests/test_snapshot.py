@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.config import SimulationConfig
 from repro.engine.runner import (
-    _build_steady_sim,
+    build_steady_sim,
     run_spec,
     run_transient,
     run_transient_forked,
@@ -45,7 +45,7 @@ def steady_spec(**overrides) -> RunSpec:
 def interrupted_point(spec: RunSpec, at: int):
     """LoadPoint computed across a save/restore boundary ``at`` cycles
     into the measurement window (with a JSON round trip in between)."""
-    sim = _build_steady_sim(spec)
+    sim = build_steady_sim(spec)
     sim.warm_up(spec.warmup)
     sim.run(at)
     snap = json_roundtrip(Snapshot.capture(sim, spec=spec))
@@ -87,7 +87,7 @@ class TestSteadyRoundTrip:
 
     def test_digest_identical_after_restore_and_in_lockstep(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(137)
         snap = json_roundtrip(Snapshot.capture(sim, spec=spec))
         restored = snap.fork()
@@ -100,7 +100,7 @@ class TestSteadyRoundTrip:
 
     def test_forks_are_independent(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(150)
         snap = Snapshot.capture(sim, spec=spec)
         a, b = snap.fork(), snap.fork()
@@ -123,7 +123,7 @@ class TestSleepingRoutersAndEventWheel:
             SimulationConfig.small(h=2, routing="ofar", seed=21),
             "UN", 0.2, warmup=100, measure=100,
         )
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         net = sim.network
         sim.run(50)
         for _ in range(2_000):
@@ -205,57 +205,62 @@ class TestWorkloadRoundTrip:
         cfg = SimulationConfig.small(h=2, routing="ofar", seed=17)
         return RunSpec.for_workload(cfg, workload, warmup=300, measure=300)
 
-    def test_full_workload_result_identical(self):
-        from repro.workloads.runner import (
-            _job_phit_baseline,
-            _summarize,
-            build_workload_sim,
-            run_workload,
+    def _scenario_spec(self):
+        from repro.cluster.spec import (
+            ArrivalSpec, FaultScheduleSpec, JobMix, ScenarioSpec,
         )
 
-        spec = self._spec()
-        ref = run_workload(spec)
+        scenario = ScenarioSpec(
+            arrivals=ArrivalSpec(kind="poisson", rate=0.01, jobs=4),
+            mix=JobMix(sizes=((4, 1.0), (8, 1.0)), durations=((300, 1.0),),
+                       loads=((0.25, 1.0),)),
+            scheduler="easy",
+            placement="random-nodes",
+            faults=FaultScheduleSpec(rate=0.004, count=1, repair=200, seed=3),
+            horizon=700,
+            seed=9,
+            blast_window=100,
+        )
+        cfg = SimulationConfig.small(h=2, routing="ofar", seed=19)
+        return RunSpec.for_scenario(cfg, scenario)
 
-        sim = build_workload_sim(spec)
+    @pytest.mark.parametrize("which", ["workload", "scenario"])
+    def test_full_result_identical(self, which):
+        """Capture mid-measurement with the kind's summarization state
+        riding in extras, fork from the embedded spec, finish on the
+        fork: the full Workload/ScenarioResult must not change."""
+        from repro.engine.execute import execute_outcome, kind_of
+
+        spec = self._spec() if which == "workload" else self._scenario_spec()
+        ref = execute_outcome(spec).result
+
+        kind = kind_of(spec)
+        sim, plan = kind.build(spec)
         sim.warm_up(spec.warmup)
-        baseline = _job_phit_baseline(sim.network)
-        sim.run(123)
-        extras = {
-            "baseline": [
-                [rid, port, [[j, p] for j, p in counts.items()]]
-                for (rid, port), counts in baseline.items()
-            ]
-        }
+        extras = kind.begin(sim, plan)
+        kind.advance(sim, plan, extras, spec.warmup + 123)
         snap = json_roundtrip(Snapshot.capture(sim, spec=spec, extras=extras))
         resumed = snap.fork()
-        decoded = {
-            (rid, port): {j: p for j, p in pairs}
-            for rid, port, pairs in snap.extras["baseline"]
-        }
-        resumed.run(spec.measure - 123)
-        res = _summarize(resumed, decoded)
+        kind.advance(resumed, plan, snap.extras, spec.warmup + spec.measure)
+        _, res = kind.summarize(resumed, spec, plan, snap.extras)
 
-        assert point_doc(res.total) == point_doc(ref.total)
-        for a, b in zip(res.jobs, ref.jobs):
-            assert a.name == b.name
-            assert point_doc(a.point) == point_doc(b.point)
-        assert repr(res.jain_across_jobs) == repr(ref.jain_across_jobs)
-        assert [[repr(x) for x in row] for row in res.interference] == [
-            [repr(x) for x in row] for row in ref.interference
-        ]
+        assert json.dumps(res.to_jsonable(), sort_keys=True) == json.dumps(
+            ref.to_jsonable(), sort_keys=True
+        )
 
 
 class TestTelemetryRoundTrip:
     def test_sampler_state_and_series_survive(self):
-        from repro.engine.runner import run_spec_with_telemetry
+        from repro.engine.execute import execute_outcome
         from repro.telemetry.config import TelemetryConfig
         from repro.telemetry.sampler import TelemetrySampler
 
         spec = steady_spec()
         tcfg = TelemetryConfig(interval=50, per_link=True)
-        pt_ref, series_ref = run_spec_with_telemetry(spec, tcfg)
+        ref = execute_outcome(spec, telemetry=tcfg)
+        pt_ref, series_ref = ref.point, ref.series
 
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.warm_up(spec.warmup)
         TelemetrySampler(sim, tcfg).attach()
         sim.run(88)
@@ -276,8 +281,8 @@ class TestTelemetryRoundTrip:
         from repro.telemetry.sampler import TelemetrySampler
 
         spec = steady_spec()
-        plain = _build_steady_sim(spec)
-        watched = _build_steady_sim(spec)
+        plain = build_steady_sim(spec)
+        watched = build_steady_sim(spec)
         TelemetrySampler(watched, TelemetryConfig(interval=25)).attach()
         plain.run(120)
         watched.run(120)
@@ -322,20 +327,20 @@ class TestBurstRoundTrip:
 class TestGuards:
     def test_restore_rejects_dirty_target(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(10)
         snap = Snapshot.capture(sim, spec=spec)
-        dirty = _build_steady_sim(spec)
+        dirty = build_steady_sim(spec)
         dirty.run(5)
         with pytest.raises(SnapshotError, match="freshly built"):
             snap.restore_into(dirty)
 
     def test_restore_rejects_config_mismatch(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(10)
         snap = Snapshot.capture(sim, spec=spec)
-        other = _build_steady_sim(steady_spec(seed=8))
+        other = build_steady_sim(steady_spec(seed=8))
         with pytest.raises(SnapshotError, match="config mismatch"):
             snap.restore_into(other)
 
@@ -345,7 +350,7 @@ class TestGuards:
 
     def test_fork_without_spec_needs_builder(self):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(10)
         snap = Snapshot.capture(sim)  # no spec embedded
         with pytest.raises(SnapshotError, match="embedded RunSpec"):
@@ -353,7 +358,7 @@ class TestGuards:
 
     def test_save_load_round_trip(self, tmp_path):
         spec = steady_spec()
-        sim = _build_steady_sim(spec)
+        sim = build_steady_sim(spec)
         sim.run(42)
         snap = Snapshot.capture(sim, spec=spec)
         path = tmp_path / "snap" / "state.json"
@@ -367,13 +372,13 @@ class TestGuards:
 class TestDebugTools:
     def test_first_divergence_none_for_identical_runs(self):
         spec = steady_spec()
-        a, b = _build_steady_sim(spec), _build_steady_sim(spec)
+        a, b = build_steady_sim(spec), build_steady_sim(spec)
         assert first_divergence(a, b, max_cycles=60) is None
 
     def test_first_divergence_localizes_a_seed_difference(self):
         spec_a = steady_spec(seed=7)
         spec_b = steady_spec(seed=8)
-        a, b = _build_steady_sim(spec_a), _build_steady_sim(spec_b)
+        a, b = build_steady_sim(spec_a), build_steady_sim(spec_b)
         hit = first_divergence(a, b, max_cycles=200)
         assert hit is not None
         assert hit["digest_a"] != hit["digest_b"]
@@ -381,7 +386,7 @@ class TestDebugTools:
 
     def test_first_divergence_rejects_misaligned_starts(self):
         spec = steady_spec()
-        a, b = _build_steady_sim(spec), _build_steady_sim(spec)
+        a, b = build_steady_sim(spec), build_steady_sim(spec)
         a.run(3)
         with pytest.raises(ValueError):
             first_divergence(a, b, max_cycles=10)

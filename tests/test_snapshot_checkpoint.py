@@ -1,7 +1,8 @@
 """Mid-run checkpointing: crash recovery without a reproducibility tax.
 
-Covers repro.snapshot.checkpoint and the orchestrator's
-``snapshot_every`` integration: checkpointed runs produce bit-identical
+Covers the point executor's ``snapshot_every`` mode
+(repro.engine.execute over repro.snapshot.checkpoint) and the
+orchestrator's integration of it: checkpointed runs produce bit-identical
 results, a resume picks up from the last checkpoint instead of cycle 0,
 corruption reads as a miss, and — the headline — a worker SIGKILLed
 mid-point is retried and resumes from its own checkpoint, ending with
@@ -10,6 +11,7 @@ the identical final result.
 
 import dataclasses
 import functools
+import json
 import os
 import signal
 
@@ -17,23 +19,27 @@ import pytest
 
 from repro.analysis.store import ResultStore
 from repro.engine.config import SimulationConfig
+from repro.engine.execute import execute_outcome, execute_point, kind_of
 from repro.engine.orchestrator import Orchestrator
 from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
-from repro.snapshot.checkpoint import (
-    checkpoint_path,
-    load_checkpoint,
-    run_spec_checkpointed,
-)
+from repro.snapshot.checkpoint import checkpoint_path, load_checkpoint
+
+
+def checkpointed(spec, store_root, snapshot_every, **options):
+    return execute_point(
+        spec, store_root=store_root, snapshot_every=snapshot_every, **options
+    )
 
 
 def point_doc(pt) -> dict:
     return {k: repr(v) for k, v in dataclasses.asdict(pt).items()}
 
 
-def steady_spec(seed=7) -> RunSpec:
+def steady_spec(seed=7, max_windows=None) -> RunSpec:
     cfg = SimulationConfig.small(h=2, routing="ofar", seed=seed)
-    return RunSpec(cfg, "ADV+1", 0.3, warmup=200, measure=200)
+    return RunSpec(cfg, "ADV+1", 0.3, warmup=200, measure=200,
+                   max_windows=max_windows)
 
 
 def workload_spec() -> RunSpec:
@@ -52,27 +58,58 @@ def workload_spec() -> RunSpec:
     return RunSpec.for_workload(cfg, workload, warmup=300, measure=300)
 
 
+def scenario_spec() -> RunSpec:
+    from repro.cluster.spec import (
+        ArrivalSpec, FaultScheduleSpec, JobMix, ScenarioSpec,
+    )
+
+    scenario = ScenarioSpec(
+        arrivals=ArrivalSpec(kind="poisson", rate=0.01, jobs=4),
+        mix=JobMix(sizes=((4, 1.0), (8, 1.0)), durations=((300, 1.0),),
+                   loads=((0.25, 1.0),)),
+        scheduler="easy",
+        placement="random-nodes",
+        faults=FaultScheduleSpec(rate=0.004, count=1, repair=200, seed=3),
+        horizon=700,
+        seed=9,
+        blast_window=100,
+    )
+    cfg = SimulationConfig.small(h=2, routing="ofar", seed=19)
+    return RunSpec.for_scenario(cfg, scenario)
+
+
 class TestRunSpecCheckpointed:
-    def test_identical_to_plain_run(self, tmp_path):
-        spec = steady_spec()
-        pt = run_spec_checkpointed(spec, tmp_path, snapshot_every=64)
+    # max_windows: a windowed-convergence spec (``repro sweep
+    # --saturating``) checkpoints like a fixed-window one.
+    @pytest.mark.parametrize("max_windows", [None, 4], ids=["fixed", "max_windows"])
+    def test_identical_to_plain_run(self, tmp_path, max_windows):
+        spec = steady_spec(max_windows=max_windows)
+        pt = checkpointed(spec, tmp_path, snapshot_every=64)
         assert point_doc(pt) == point_doc(run_spec(spec))
 
     def test_checkpoint_removed_on_success(self, tmp_path):
         spec = steady_spec()
-        run_spec_checkpointed(spec, tmp_path, snapshot_every=64)
+        checkpointed(spec, tmp_path, snapshot_every=64)
         assert not checkpoint_path(tmp_path, spec.fingerprint()).exists()
 
-    def test_resume_from_midrun_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("max_windows,saves,cycle", [
+        pytest.param(None, 2, 128, id="fixed"),
+        # 7 saves land in the *second* window (cycles 400-600): the
+        # resumed run needs the first window's throughput to converge.
+        pytest.param(4, 7, 448, id="max_windows"),
+    ])
+    def test_resume_from_midrun_checkpoint(self, tmp_path, max_windows, saves, cycle):
         # Kill the first run right after a checkpoint lands, organically.
-        spec = steady_spec()
+        spec = steady_spec(max_windows=max_windows)
         ref = point_doc(run_spec(spec))
-        _CheckpointBomb(after=2).arm()
+        _CheckpointBomb(after=saves).arm()
         with pytest.raises(_Boom):
-            run_spec_checkpointed(spec, tmp_path, snapshot_every=64)
+            checkpointed(spec, tmp_path, snapshot_every=64)
         snap = load_checkpoint(tmp_path, spec)
-        assert snap is not None and snap.cycle == 128
-        pt = run_spec_checkpointed(spec, tmp_path, snapshot_every=64)
+        assert snap is not None and snap.cycle == cycle
+        if max_windows is not None:
+            assert snap.extras["window"] == 1 and "previous" in snap.extras
+        pt = checkpointed(spec, tmp_path, snapshot_every=64)
         assert point_doc(pt) == ref
 
     def test_corrupt_checkpoint_reads_as_miss(self, tmp_path):
@@ -80,23 +117,23 @@ class TestRunSpecCheckpointed:
         path = checkpoint_path(tmp_path, spec.fingerprint())
         path.parent.mkdir(parents=True)
         path.write_text("{ not json")
-        pt = run_spec_checkpointed(spec, tmp_path, snapshot_every=64)
+        pt = checkpointed(spec, tmp_path, snapshot_every=64)
         assert point_doc(pt) == point_doc(run_spec(spec))
 
     def test_foreign_spec_checkpoint_ignored(self, tmp_path):
         # A checkpoint for seed=9 parked under seed=7's slot must be a miss.
         other = steady_spec(seed=9)
-        from repro.engine.runner import _build_steady_sim
+        from repro.engine.runner import build_steady_sim
         from repro.snapshot import Snapshot
 
-        sim = _build_steady_sim(other)
+        sim = build_steady_sim(other)
         sim.run(30)
         spec = steady_spec(seed=7)
         Snapshot.capture(sim, spec=other).save(
             str(checkpoint_path(tmp_path, spec.fingerprint()))
         )
         assert load_checkpoint(tmp_path, spec) is None
-        pt = run_spec_checkpointed(spec, tmp_path, snapshot_every=64)
+        pt = checkpointed(spec, tmp_path, snapshot_every=64)
         assert point_doc(pt) == point_doc(run_spec(spec))
 
     def test_workload_spec_checkpointed(self, tmp_path):
@@ -108,7 +145,7 @@ class TestRunSpecCheckpointed:
 
         spec = workload_spec()
         ref = run_workload(spec)
-        pt = run_spec_checkpointed(spec, tmp_path, snapshot_every=100)
+        pt = checkpointed(spec, tmp_path, snapshot_every=100)
         assert point_doc(pt) == point_doc(ref.total)
         payload = ResultStore(tmp_path).get_sidecar(SIDECAR_KIND, spec)
         assert payload is not None
@@ -118,14 +155,14 @@ class TestRunSpecCheckpointed:
         ]
 
     def test_telemetry_series_survives_checkpointed_run(self, tmp_path):
-        from repro.engine.runner import run_spec_with_telemetry
         from repro.telemetry.config import TelemetryConfig
 
         spec = steady_spec()
         tcfg = TelemetryConfig(interval=50, per_link=True)
-        pt_ref, series_ref = run_spec_with_telemetry(spec, tcfg)
+        ref = execute_outcome(spec, telemetry=tcfg)
+        pt_ref, series_ref = ref.point, ref.series
         tdir = tmp_path / "telemetry"
-        pt = run_spec_checkpointed(
+        pt = checkpointed(
             spec, tmp_path, snapshot_every=64, telemetry=tcfg, telemetry_dir=tdir
         )
         assert point_doc(pt) == point_doc(pt_ref)
@@ -138,7 +175,32 @@ class TestRunSpecCheckpointed:
 
     def test_snapshot_every_validated(self, tmp_path):
         with pytest.raises(ValueError):
-            run_spec_checkpointed(steady_spec(), tmp_path, snapshot_every=0)
+            checkpointed(steady_spec(), tmp_path, snapshot_every=0)
+
+    @pytest.mark.parametrize("make_spec", [
+        steady_spec,
+        functools.partial(steady_spec, max_windows=4),
+        workload_spec,
+        scenario_spec,
+    ], ids=["steady", "max_windows", "workload", "scenario"])
+    def test_one_executor_both_modes(self, tmp_path, make_spec):
+        """``snapshot_every`` only adds segment boundaries: the same
+        function yields byte-identical LoadPoints and sidecars with it
+        (many segments, checkpoints written and cleared) and without
+        it (one segment per phase, no checkpoint file touched)."""
+        spec = make_spec()
+        plain_root, ckpt_root = tmp_path / "plain", tmp_path / "ckpt"
+        plain = execute_point(spec, store_root=plain_root)
+        assert not (plain_root / "snapshots").exists()
+        ckpt = execute_point(spec, store_root=ckpt_root, snapshot_every=90)
+        assert ckpt.to_json() == plain.to_json()
+        kind = kind_of(spec).sidecar
+        if kind is not None:
+            docs = [
+                json.dumps(ResultStore(root).get_sidecar(kind, spec), sort_keys=True)
+                for root in (plain_root, ckpt_root)
+            ]
+            assert docs[0] == docs[1] and docs[0] != "null"
 
 
 class _Boom(RuntimeError):
@@ -193,7 +255,7 @@ def _sigkill_once_worker(store_root, every, flag_path, resume_log, spec):
         snap = load_checkpoint(store_root, spec)
         with open(resume_log, "w") as fh:
             fh.write(str(snap.cycle if snap is not None else -1))
-    return run_spec_checkpointed(spec, store_root, every)
+    return checkpointed(spec, store_root, every)
 
 
 def _always_fail_worker(spec):

@@ -12,12 +12,8 @@ import math
 import pytest
 
 from repro.engine.config import SimulationConfig
-from repro.engine.runner import (
-    _pattern_rng,
-    run_spec,
-    run_spec_with_telemetry,
-    run_transient,
-)
+from repro.engine.execute import execute_outcome
+from repro.engine.runner import _pattern_rng, run_spec, run_transient
 from repro.engine.runspec import RunSpec
 from repro.engine.simulator import Simulator
 from repro.telemetry import (
@@ -243,23 +239,23 @@ class TestDeterminism:
     def test_loadpoint_byte_identical_with_sampler(self):
         s = spec()
         plain = run_spec(s)
-        observed, series = run_spec_with_telemetry(
-            s, TelemetryConfig(interval=50, per_link=True)
+        observed = execute_outcome(
+            s, telemetry=TelemetryConfig(interval=50, per_link=True)
         )
-        assert series is not None and series.samples
-        assert observed.to_json() == plain.to_json()  # byte-for-byte
+        assert observed.series is not None and observed.series.samples
+        assert observed.point.to_json() == plain.to_json()  # byte-for-byte
 
     def test_spec_field_and_override(self):
         tcfg = TelemetryConfig(interval=50)
         s = spec(telemetry=tcfg)
-        point, series = run_spec_with_telemetry(s)
-        assert series is not None and series.config == tcfg
-        assert point.to_json() == run_spec(s).to_json()
+        outcome = execute_outcome(s)
+        assert outcome.series is not None and outcome.series.config == tcfg
+        assert outcome.point.to_json() == run_spec(s).to_json()
 
     def test_no_config_means_plain_run(self):
-        point, series = run_spec_with_telemetry(spec())
-        assert series is None
-        assert point == run_spec(spec())
+        outcome = execute_outcome(spec())
+        assert outcome.series is None
+        assert outcome.point == run_spec(spec())
 
 
 class TestExport:

@@ -18,7 +18,8 @@ import pytest
 
 from repro.analysis.store import ResultStore
 from repro.engine.config import SimulationConfig
-from repro.engine.runner import run_spec, run_spec_with_telemetry
+from repro.engine.execute import execute_cached, execute_outcome
+from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
 from repro.engine.simulator import Simulator
 from repro.topology.dragonfly import Dragonfly
@@ -30,8 +31,6 @@ from repro.workloads.runner import (
     jain_across_jobs,
     job_slowdowns,
     run_workload,
-    run_workload_cached,
-    run_workload_with_telemetry,
 )
 from repro.workloads.spec import JobSpec, WorkloadSpec
 
@@ -221,21 +220,21 @@ class TestRunLayerIntegration:
     def test_sidecar_cache_hit_bit_identical(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = two_job_spec()
-        fresh = run_workload_cached(spec, store)
+        fresh = execute_cached(spec, store)
         assert store.get_sidecar(SIDECAR_KIND, spec) is not None
         assert store.get(spec) == fresh.total  # main store entry too
-        hit = run_workload_cached(spec, store)
+        hit = execute_cached(spec, store)
         assert hit.to_jsonable() == fresh.to_jsonable()
         assert store.stats.hits >= 1
 
     def test_corrupt_sidecar_recomputed(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = two_job_spec()
-        fresh = run_workload_cached(spec, store)
+        fresh = execute_cached(spec, store)
         store.sidecar_path(SIDECAR_KIND, spec.fingerprint()).write_text(
             "{ not json"
         )
-        again = run_workload_cached(spec, store)
+        again = execute_cached(spec, store)
         assert again.to_jsonable() == fresh.to_jsonable()
 
     def test_sidecar_kind_validated(self, tmp_path):
@@ -249,20 +248,12 @@ class TestRunLayerIntegration:
 
         spec = two_job_spec()
         plain = run_workload(spec)
-        result, series = run_workload_with_telemetry(
-            spec, TelemetryConfig(interval=50)
-        )
+        outcome = execute_outcome(spec, telemetry=TelemetryConfig(interval=50))
+        result, series = outcome.result, outcome.series
         assert result.to_jsonable() == plain.to_jsonable()
+        assert outcome.point == plain.total
         assert series is not None and series.samples
         flows = [s.job_flow for s in series.samples if s.job_flow]
         assert flows, "multi-job run must sample per-job flow"
         assert set(flows[-1]) <= {"0", "1"}
         assert all(f["0"]["ejected"] > 0 for f in flows if "0" in f)
-
-    def test_run_spec_with_telemetry_dispatches(self):
-        from repro.telemetry.config import TelemetryConfig
-
-        spec = two_job_spec()
-        point, series = run_spec_with_telemetry(spec, TelemetryConfig(interval=50))
-        assert point == run_workload(spec).total
-        assert series is not None and series.samples
