@@ -145,12 +145,9 @@ def run_campaign_fabric(campaign: CampaignSpec, store, **drain_options) -> Campa
 
 def _grid_keys(run: CampaignRun) -> list[tuple]:
     """Coordinate tuples without the seed, in first-appearance order."""
-    seen: list[tuple] = []
-    for point in run.points:
-        key = tuple(c for c in point.coords if c[0] != "seed")
-        if key not in seen:
-            seen.append(key)
-    return seen
+    return list(dict.fromkeys(
+        tuple(c for c in point.coords if c[0] != "seed") for point in run.points
+    ))
 
 
 def _series_axes(campaign: CampaignSpec) -> list[str]:

@@ -4,7 +4,7 @@ Every number the run layer produces is one :class:`RunSpec` point, and
 this module is the only code that runs one.  Who calls it::
 
     run_spec / run_workload / run_scenario      (in-process, public API)
-    Orchestrator(worker=partial(execute_point)) (inline or one child per point)
+    Orchestrator(worker=partial(execute_point)) (inline or N persistent children)
     FabricWorker(execute=partial(execute_point))(file or HTTP lease backend)
     execute_cached                              (sidecar cache, full result)
                         │

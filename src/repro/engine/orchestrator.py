@@ -10,11 +10,13 @@ an arbitrary grid with the properties a long sweep needs:
   same (or an overlapping) grid serves those points from disk,
   bit-identical to a fresh run, so a killed sweep resumes at the first
   missing point with no separate checkpoint machinery.
-- **fault isolation** — each point runs in its own worker process; a
-  worker that raises, is OOM-killed, or exceeds the per-point timeout
-  costs one attempt.  After ``retries`` extra attempts the point is
-  *recorded* as failed and the rest of the grid completes; a poisoned
-  point is never fatal to the sweep.
+- **fault isolation** — points run in ``workers`` persistent worker
+  processes, started once per :meth:`Orchestrator.run` and gone when it
+  returns.  A crashed (raised, OOM-killed) or stuck (per-point timeout)
+  worker costs the one point it was running one attempt and is
+  replaced.  After ``retries`` extra attempts the point is *recorded*
+  as failed and the rest of the grid completes; a poisoned point is
+  never fatal to the sweep.
 - **observability** — after every resolved point the orchestrator emits
   a :class:`~repro.engine.tracing.SweepProgress` snapshot
   (done/cached/failed, rate, ETA, per-point wall time) to the installed
@@ -93,7 +95,12 @@ class PointResult:
     point: LoadPoint | None = None
     error: str | None = None  # traceback / reason when failed
     attempts: int = 1  # execution attempts (0 for cache hits)
-    wall_time: float = 0.0  # seconds spent on the resolving attempt
+    # Seconds the resolving attempt took: handing the spec to the worker
+    # (a call inline, a pipe write in the pool) until its result is back.
+    # No process start-up or store write is in it; a cache hit's is the
+    # store read.  The same value goes to ``ResultStore.put(wall_time=)``
+    # and the progress line.
+    wall_time: float = 0.0
     # Original exception object, only available from in-process (workers=0)
     # execution; lets strict callers re-raise the real error type.
     exception: BaseException | None = field(default=None, repr=False)
@@ -114,30 +121,43 @@ class PointResult:
         )
 
 
-def _child_main(conn, worker, spec) -> None:
-    """Subprocess body: run one point, ship the result or the traceback."""
+def _worker_main(conn, worker, specs) -> None:
+    """Pool child body: run the points whose indices arrive on ``conn``
+    and answer each with the result or the traceback.  Ends when the
+    parent terminates it, or on EOF should the parent itself be gone."""
     try:
-        point = worker(spec)
-        conn.send(("ok", point))
-    except BaseException:
-        try:
-            conn.send(("err", traceback.format_exc()))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
+        while True:
+            spec = specs[conn.recv()]
+            try:
+                conn.send(("ok", worker(spec)))
+            except Exception:
+                conn.send(("err", traceback.format_exc()))
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        pass
     finally:
         conn.close()
 
 
 @dataclass
-class _Job:
-    """One in-flight worker process."""
+class _Worker:
+    """One pool process and the point attempt it holds."""
 
-    index: int
-    spec: RunSpec
-    attempt: int
     proc: mp.Process
-    conn: object  # parent end of the result pipe
-    started: float
+    conn: object  # parent end of the duplex pipe
+    index: int = -1  # spec index of the held point
+    attempt: int = 0
+    started: float = 0.0  # when the held point was handed over
+
+
+class _Grid:
+    """Mutable state of one :meth:`Orchestrator.run` call."""
+
+    def __init__(self, specs: list[RunSpec]) -> None:
+        self.specs = specs
+        self.results: list[PointResult | None] = [None] * len(specs)
+        self.pending: deque[tuple[int, int]] = deque()  # (spec index, attempt no.)
+        self.counts = {STATUS_DONE: 0, STATUS_CACHED: 0, STATUS_FAILED: 0}
+        self.started = time.monotonic()
 
 
 class Orchestrator:
@@ -245,25 +265,21 @@ class Orchestrator:
     # ------------------------------------------------------------------
     def run(self, specs: list[RunSpec]) -> list[PointResult]:
         """Resolve every point; results come back in spec order."""
-        started = time.monotonic()
-        results: list[PointResult | None] = [None] * len(specs)
-        pending: deque[tuple[int, int]] = deque()  # (spec index, attempt no.)
-
+        grid = _Grid(specs)
         for i, spec in enumerate(specs):
             cached = self._try_cache(spec)
             if cached is not None:
-                results[i] = cached
-                self._emit(results, len(specs), started, cached)
+                self._record(grid, i, cached)
             else:
-                pending.append((i, 1))
+                grid.pending.append((i, 1))
 
-        if pending:
+        if grid.pending:
             if self.workers == 0:
-                self._run_inline(specs, pending, results, started)
+                self._run_inline(grid)
             else:
-                self._run_pool(specs, pending, results, started)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
+                self._run_pool(grid)
+        assert all(r is not None for r in grid.results)
+        return grid.results  # type: ignore[return-value]
 
     def run_points(self, specs: list[RunSpec]) -> list[LoadPoint]:
         """Strict variant: the LoadPoints, or the first failure raised."""
@@ -282,25 +298,7 @@ class Orchestrator:
             wall_time=time.monotonic() - t0,
         )
 
-    def _emit(self, results, total: int, started: float, last: PointResult) -> None:
-        if self.observer is None:
-            return
-        done = sum(1 for r in results if r is not None and r.status == STATUS_DONE)
-        cached = sum(1 for r in results if r is not None and r.status == STATUS_CACHED)
-        failed = sum(1 for r in results if r is not None and r.status == STATUS_FAILED)
-        self.observer(SweepProgress(
-            total=total,
-            done=done,
-            cached=cached,
-            failed=failed,
-            elapsed=time.monotonic() - started,
-            last_label=last.spec.label(),
-            last_status=last.status,
-            last_wall_time=last.wall_time,
-        ))
-
-    def _record(self, results, index: int, result: PointResult,
-                total: int, started: float) -> None:
+    def _record(self, grid: _Grid, index: int, result: PointResult) -> None:
         if result.status == STATUS_DONE and self.store is not None:
             self.store.put(result.spec, result.point, wall_time=result.wall_time)
         elif result.status == STATUS_FAILED and self.snapshot_every is not None:
@@ -310,133 +308,135 @@ class Orchestrator:
             from repro.snapshot.checkpoint import clear_checkpoint
 
             clear_checkpoint(self.store.root, result.spec)
-        results[index] = result
-        self._emit(results, total, started, result)
+        grid.results[index] = result
+        grid.counts[result.status] += 1
+        if self.observer is not None:
+            self.observer(SweepProgress(
+                total=len(grid.specs),
+                done=grid.counts[STATUS_DONE],
+                cached=grid.counts[STATUS_CACHED],
+                failed=grid.counts[STATUS_FAILED],
+                elapsed=time.monotonic() - grid.started,
+                last_label=result.spec.label(),
+                last_status=result.status,
+                last_wall_time=result.wall_time,
+            ))
+
+    def _attempt_over(self, grid: _Grid, index: int, attempt: int, t0: float,
+                      point: LoadPoint | None = None, error: str | None = None,
+                      exception: BaseException | None = None) -> None:
+        """An attempt handed over at ``t0`` came back: record the point,
+        re-queue it at the back, or record the failure."""
+        if error is not None and attempt <= self.retries:
+            grid.pending.append((index, attempt + 1))
+            return
+        self._record(grid, index, PointResult(
+            grid.specs[index], STATUS_DONE if error is None else STATUS_FAILED,
+            point, error=error, exception=exception, attempts=attempt,
+            wall_time=time.monotonic() - t0,
+        ))
 
     # ------------------------------------------------------------------
     # In-process mode (workers=0): sequential, no fault isolation
     # ------------------------------------------------------------------
-    def _run_inline(self, specs, pending, results, started) -> None:
-        total = len(specs)
-        while pending:
-            index, attempt = pending.popleft()
-            spec = specs[index]
+    def _run_inline(self, grid: _Grid) -> None:
+        while grid.pending:
+            index, attempt = grid.pending.popleft()
             t0 = time.monotonic()
             try:
-                point = self.worker(spec)
+                point = self.worker(grid.specs[index])
             except Exception as exc:
-                if attempt <= self.retries:
-                    pending.append((index, attempt + 1))
-                    continue
-                self._record(results, index, PointResult(
-                    spec, STATUS_FAILED, error=traceback.format_exc(),
-                    exception=exc, attempts=attempt,
-                    wall_time=time.monotonic() - t0,
-                ), total, started)
-                continue
-            self._record(results, index, PointResult(
-                spec, STATUS_DONE, point, attempts=attempt,
-                wall_time=time.monotonic() - t0,
-            ), total, started)
+                self._attempt_over(grid, index, attempt, t0,
+                                   error=traceback.format_exc(), exception=exc)
+            else:
+                self._attempt_over(grid, index, attempt, t0, point)
 
     # ------------------------------------------------------------------
-    # Process-pool mode: one process per point attempt
+    # Process-pool mode: persistent workers fed spec indices over pipes
     # ------------------------------------------------------------------
-    def _run_pool(self, specs, pending, results, started) -> None:
-        total = len(specs)
-        inflight: dict[object, _Job] = {}  # conn -> job
+    def _run_pool(self, grid: _Grid) -> None:
+        pending = grid.pending
+        idle: list[_Worker] = []
+        busy: dict[object, _Worker] = {}  # conn -> worker
         try:
-            while pending or inflight:
-                while pending and len(inflight) < self.workers:
-                    index, attempt = pending.popleft()
-                    job = self._spawn(index, specs[index], attempt)
-                    inflight[job.conn] = job
+            while pending or busy:
+                # Children start on demand: never more than there is
+                # work for, and a lost one is replaced only if needed.
+                while pending and (idle or len(busy) < self.workers):
+                    w = idle.pop() if idle else self._start_worker(grid.specs)
+                    w.index, w.attempt = pending.popleft()
+                    w.started = time.monotonic()
+                    busy[w.conn] = w
+                    try:
+                        w.conn.send(w.index)
+                    except OSError:
+                        pass  # died while idle: reads as EOF below
 
-                poll = _POLL_SECONDS if self.timeout is not None else 1.0
-                ready = _wait_connections(list(inflight), timeout=poll)
-                for conn in ready:
-                    job = inflight.pop(conn)
-                    self._resolve(job, pending, results, total, started)
+                poll = _POLL_SECONDS if self.timeout is not None else None
+                for conn in _wait_connections(list(busy), timeout=poll):
+                    w = busy[conn]
+                    try:
+                        kind, payload = conn.recv()
+                        idle.append(w)
+                    except (EOFError, OSError):
+                        # The worker died without producing a result:
+                        # crashed, OOM-killed, or SIGKILLed mid-point.
+                        w.proc.join()
+                        conn.close()
+                        kind, payload = "err", (
+                            "worker died without a result "
+                            f"(exit code {w.proc.exitcode})")
+                    del busy[conn]
+                    if kind == "ok":
+                        self._attempt_over(grid, w.index, w.attempt, w.started, payload)
+                    else:
+                        self._attempt_over(grid, w.index, w.attempt, w.started,
+                                           error=payload)
 
                 if self.timeout is not None:
                     now = time.monotonic()
-                    for conn, job in list(inflight.items()):
-                        if now - job.started > self.timeout:
-                            inflight.pop(conn)
-                            self._kill(job)
-                            self._attempt_failed(
-                                job,
-                                f"timed out after {self.timeout:g}s (worker killed)",
-                                pending, results, total, started,
-                            )
+                    for conn, w in list(busy.items()):
+                        if now - w.started > self.timeout:
+                            del busy[conn]
+                            self._kill(w)
+                            self._attempt_over(
+                                grid, w.index, w.attempt, w.started,
+                                error=f"timed out after {self.timeout:g}s (worker killed)")
         finally:
-            for job in inflight.values():  # interrupted: leave no orphans
-                self._kill(job)
+            for w in [*idle, *busy.values()]:  # done or interrupted: no orphans
+                self._kill(w)
 
-    def _spawn(self, index: int, spec: RunSpec, attempt: int) -> _Job:
-        recv_conn, send_conn = mp.Pipe(duplex=False)
+    def _start_worker(self, specs: list[RunSpec]) -> _Worker:
+        # Under fork the child inherits ``specs`` and ``self.worker``;
+        # the pipe only ever carries an index one way, a result the other.
+        parent_conn, child_conn = mp.Pipe()
         proc = mp.Process(
-            target=_child_main, args=(send_conn, self.worker, spec), daemon=True
+            target=_worker_main, args=(child_conn, self.worker, specs), daemon=True
         )
         proc.start()
-        # Drop the parent's copy of the send end: a worker that dies
-        # without sending then reads as EOF instead of hanging forever.
-        send_conn.close()
-        return _Job(index, spec, attempt, proc, recv_conn, time.monotonic())
-
-    def _resolve(self, job: _Job, pending, results, total, started) -> None:
-        try:
-            kind, payload = job.conn.recv()
-        except (EOFError, OSError):
-            # The worker died without producing a result: crashed,
-            # OOM-killed, or SIGKILLed mid-point.
-            job.proc.join()
-            self._close(job)
-            self._attempt_failed(
-                job,
-                f"worker died without a result (exit code {job.proc.exitcode})",
-                pending, results, total, started,
-            )
-            return
-        job.proc.join()
-        self._close(job)
-        if kind == "ok":
-            self._record(results, job.index, PointResult(
-                job.spec, STATUS_DONE, payload, attempts=job.attempt,
-                wall_time=time.monotonic() - job.started,
-            ), total, started)
-        else:
-            self._attempt_failed(job, payload, pending, results, total, started)
-
-    def _attempt_failed(self, job: _Job, error: str,
-                        pending, results, total, started) -> None:
-        if job.attempt <= self.retries:
-            pending.append((job.index, job.attempt + 1))
-            return
-        self._record(results, job.index, PointResult(
-            job.spec, STATUS_FAILED, error=error, attempts=job.attempt,
-            wall_time=time.monotonic() - job.started,
-        ), total, started)
-
-    def _kill(self, job: _Job) -> None:
-        if job.proc.is_alive():
-            job.proc.terminate()
-            job.proc.join(1.0)
-            if job.proc.is_alive():  # pragma: no cover - stubborn worker
-                job.proc.kill()
-                job.proc.join()
-        self._close(job)
+        # Drop the parent's copy of the child end: a worker that dies
+        # without answering then reads as EOF instead of hanging forever.
+        child_conn.close()
+        return _Worker(proc, parent_conn)
 
     @staticmethod
-    def _close(job: _Job) -> None:
-        try:
-            job.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+    def _kill(w: _Worker) -> None:
+        if w.proc.is_alive():
+            w.proc.terminate()
+            w.proc.join(1.0)
+            if w.proc.is_alive():  # pragma: no cover - stubborn worker
+                w.proc.kill()
+                w.proc.join()
+        w.conn.close()
 
 
 def summarize(results: list[PointResult]) -> dict:
-    """Aggregate counts + timing for logs and CLI summaries."""
+    """Aggregate counts + timing for logs and CLI summaries.
+
+    ``wall_time`` sums :attr:`PointResult.wall_time` (hand-over to
+    result, per point), so with N workers it is worker-seconds spent on
+    points, not the elapsed time of the grid.
+    """
     return {
         "total": len(results),
         "done": sum(1 for r in results if r.status == STATUS_DONE),

@@ -144,9 +144,11 @@ class SweepProgress:
     """One snapshot of an orchestrated sweep, emitted per resolved point.
 
     ``done + cached + failed`` counts resolved points; ``total`` is the
-    grid size.  ``rate`` is resolved points per second of wall time and
-    ``eta_seconds`` the remaining-work extrapolation (0.0 once done,
-    NaN before the first point resolves).
+    grid size.  ``rate`` is *executed* points (``done + failed``) per
+    second of wall time — cache hits resolve up front in microseconds
+    and say nothing about how long the remaining simulations take — and
+    ``eta_seconds`` the remaining-work extrapolation (0.0 once the grid
+    is resolved, NaN before the first point has executed).
 
     Fleet-drained sweeps (:mod:`repro.fabric`) fill in the fleet
     fields: ``worker`` names the emitting worker, ``fleet_workers``
@@ -175,22 +177,28 @@ class SweepProgress:
 
     @property
     def rate(self) -> float:
-        return self.resolved / self.elapsed if self.elapsed > 0 else float("nan")
+        executed = self.done + self.failed
+        if executed == 0 or self.elapsed <= 0:
+            return float("nan")
+        return executed / self.elapsed
 
     @property
     def eta_seconds(self) -> float:
+        if self.resolved >= self.total:
+            return 0.0
         rate = self.fleet_rate if self.fleet_rate == self.fleet_rate else self.rate
         if rate != rate or rate == 0:
             return float("nan")
         return (self.total - self.resolved) / rate
 
     def render(self) -> str:
-        eta = self.eta_seconds
+        rate, eta = self.rate, self.eta_seconds
+        rate_text = f"{rate:.2f}" if rate == rate else "?"
         eta_text = f"{eta:.0f}s" if eta == eta else "?"
         line = (
             f"[sweep {self.resolved}/{self.total}] "
             f"done={self.done} cached={self.cached} failed={self.failed} "
-            f"{self.rate:.2f} pt/s eta {eta_text} | "
+            f"{rate_text} pt/s eta {eta_text} | "
             f"{self.last_label}: {self.last_status} in {self.last_wall_time:.2f}s"
         )
         if self.fleet_workers > 1 or self.worker:

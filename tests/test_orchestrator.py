@@ -7,6 +7,8 @@ sweeps produce LoadPoints bit-identical to a sequential fresh run.
 """
 
 import importlib.util
+import json
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -24,6 +26,7 @@ from repro.engine.orchestrator import (
 )
 from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
+from repro.engine.tracing import SweepProgress
 from repro.experiments.common import TINY
 
 # ----------------------------------------------------------------------
@@ -63,6 +66,22 @@ def _flaky_once(spec):
         marker.write_text("first attempt")
         raise RuntimeError("flaky first attempt")
     return run_spec(spec)
+
+
+def _sleep_on_bad_load(spec):
+    if spec.load == INJECTED_BAD_LOAD:
+        time.sleep(300)
+    return run_spec(spec)
+
+
+_PID_DIR = None  # set by the pool tests; inherited by forked workers
+
+
+def _log_pid_kill_on_bad_load(spec):
+    """Leave ``<fingerprint>`` = executing PID behind, then behave like
+    ``_kill_on_bad_load``."""
+    (pathlib.Path(_PID_DIR) / spec.fingerprint()).write_text(str(os.getpid()))
+    return _kill_on_bad_load(spec)
 
 
 def specs(loads, routing="min", seed=3):
@@ -197,6 +216,99 @@ class TestFailurePaths:
             )
 
 
+class TestPersistentPool:
+    """The pool itself: N long-lived workers, replaced when lost, none
+    left behind."""
+
+    @staticmethod
+    def _pids(tmp_path, grid):
+        return [int((tmp_path / s.fingerprint()).read_text()) for s in grid]
+
+    def test_grid_shares_workers_processes(self, tmp_path):
+        global _PID_DIR
+        _PID_DIR = str(tmp_path)
+        grid = specs([0.05, 0.1, 0.15, 0.25, 0.3, 0.35])
+        results = Orchestrator(
+            workers=2, worker=_log_pid_kill_on_bad_load).run(grid)
+        assert all(r.status == "done" for r in results)
+        pids = self._pids(tmp_path, grid)
+        assert len(set(pids)) == 2  # not one process per point
+        assert os.getpid() not in pids
+
+    def test_killed_worker_is_replaced(self, tmp_path):
+        global _PID_DIR
+        _PID_DIR = str(tmp_path)
+        grid = specs([0.1, INJECTED_BAD_LOAD, 0.3, 0.15, 0.25, 0.35])
+        results = Orchestrator(
+            workers=2, retries=0, worker=_log_pid_kill_on_bad_load).run(grid)
+        assert [r.status for r in results] == ["done", "failed"] + ["done"] * 4
+        assert "worker died without a result (exit code -9)" in results[1].error
+        assert [r.point for r in results if r.ok] == [
+            run_spec(s) for s in grid if s.load != INJECTED_BAD_LOAD]
+        pids = self._pids(tmp_path, grid)
+        # Two first children plus the one that took the dead one's slot,
+        # and the dead one ran nothing after the point that killed it.
+        assert len(set(pids)) == 3
+        assert pids.count(pids[1]) == 1
+
+    def test_timed_out_worker_is_replaced(self):
+        grid = specs([INJECTED_BAD_LOAD, 0.1])
+        results = Orchestrator(
+            workers=1, retries=0, timeout=1.5, worker=_sleep_on_bad_load).run(grid)
+        assert [r.status for r in results] == ["failed", "done"]
+        assert "timed out after 1.5s (worker killed)" in results[0].error
+        assert results[1].point == run_spec(grid[1])
+
+    def test_store_entries_equal_inline_run(self, tmp_path):
+        grid = specs([0.3, 0.1, 0.2, 0.25], routing="ofar")
+        stores = {}
+        for workers in (0, 2):
+            store = ResultStore(tmp_path / str(workers))
+            results = Orchestrator(workers=workers, store=store).run(grid)
+            assert [r.spec for r in results] == grid  # spec order
+            stores[workers] = [
+                json.loads(store.path_for(s.fingerprint()).read_text()) for s in grid]
+        for inline, pooled in zip(stores[0], stores[2]):
+            assert json.dumps(inline["spec"]) == json.dumps(pooled["spec"])
+            assert json.dumps(inline["point"]) == json.dumps(pooled["point"])
+
+    def test_no_more_children_than_pending_points(self, tmp_path, monkeypatch):
+        started = []
+        start = Orchestrator._start_worker
+
+        def counting(self, grid_specs):
+            started.append(1)
+            return start(self, grid_specs)
+
+        monkeypatch.setattr(Orchestrator, "_start_worker", counting)
+        store = ResultStore(tmp_path)
+        grid = specs([0.1, 0.2, 0.3])
+        Orchestrator(workers=0, store=store).run(grid[:2])
+        results = Orchestrator(workers=4, store=store).run(grid)
+        assert [r.status for r in results] == ["cached", "cached", "done"]
+        assert len(started) == 1  # one pending point, one child
+        Orchestrator(workers=4, store=store).run(grid)
+        assert len(started) == 1  # all cached: no child at all
+
+    def test_no_process_outlives_run(self):
+        grid = specs([0.1, 0.2, 0.3, INJECTED_BAD_LOAD])
+        Orchestrator(workers=2, retries=0, worker=_fail_on_bad_load).run(grid)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(OrchestratorError):
+            Orchestrator(
+                workers=2, retries=0, worker=_fail_on_bad_load).run_points(grid)
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_outlives_interrupt(self):
+        def interrupt(progress):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            Orchestrator(workers=2, observer=interrupt).run(
+                specs([0.1, 0.2, 0.3, 0.4, 0.45]))
+        assert multiprocessing.active_children() == []
+
+
 class TestCacheAndResume:
     def test_cache_hits_bit_identical(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -259,6 +371,37 @@ class TestObservability:
         assert last.total == 3
         assert last.eta_seconds == 0.0
         assert last.render().startswith("[sweep 3/3]")
+
+    def test_eta_counts_executed_points_only(self):
+        """A resume resolves its cache hits before anything executes;
+        they must not make the remaining simulations look instant."""
+        def progress(**counts):
+            return SweepProgress(total=1000, elapsed=10.0, last_label="pt",
+                                 last_status="done", last_wall_time=1.0, **counts)
+
+        hits_only = progress(done=0, cached=900, failed=0)
+        assert hits_only.rate != hits_only.rate  # NaN: nothing executed yet
+        assert hits_only.eta_seconds != hits_only.eta_seconds
+        assert "? pt/s eta ?" in hits_only.render()
+        resumed = progress(done=8, cached=900, failed=2)
+        assert resumed.rate == pytest.approx(1.0)
+        assert resumed.eta_seconds == pytest.approx(90.0)
+        assert progress(done=0, cached=1000, failed=0).eta_seconds == 0.0
+
+    def test_eta_on_half_cached_store(self, tmp_path):
+        events = []
+        store = ResultStore(tmp_path)
+        grid = specs([0.1, 0.15, 0.2, 0.25])
+        Orchestrator(workers=0, store=store).run(grid[:2])
+        Orchestrator(workers=0, store=store, observer=events.append).run(grid)
+        assert [e.last_status for e in events] == ["cached", "cached", "done", "done"]
+        for hit in events[:2]:
+            assert hit.eta_seconds != hit.eta_seconds  # NaN, not ~0 s
+        first = events[2]
+        assert (first.done, first.cached) == (1, 2)
+        assert first.rate == pytest.approx(1 / first.elapsed)
+        assert first.eta_seconds == pytest.approx(first.elapsed)  # one to go
+        assert events[3].eta_seconds == 0.0
 
     def test_summarize(self):
         results = Orchestrator(workers=0, retries=0, worker=_fail_on_bad_load).run(
