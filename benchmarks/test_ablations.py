@@ -6,23 +6,19 @@ and position the extension baselines (UGAL-L, PAR) on the worst-case
 pattern.
 """
 
-from conftest import run_once
-
-from repro.experiments import ablations
+from conftest import figure, run_once
 
 
 def test_ablation_thresholds(benchmark, small):
-    table = run_once(benchmark, ablations.run_thresholds, small)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "ablation_thresholds", "small")["table"]
     benchmark.extra_info["rows"] = table.rows
     rows = {
-        (r["policy"], r["pattern"], r["load"]): r for r in table.rows
+        (r["variant"], r["pattern"], r["load"]): r for r in table.rows
     }
     h = small.h
     # Under UN at moderate load, every policy keeps throughput ~= load
     # (misrouting must not hurt benign traffic).
-    for name, _ in ablations.threshold_policies():
+    for name in ("var-0.5", "var-0.75", "var-0.9", "var-1.0", "static-40"):
         r = rows[(name, "UN", 0.25)]
         assert r["throughput"] > 0.22, r
     # Under ADV+h at high load, the variable policies beat "never
@@ -33,11 +29,9 @@ def test_ablation_thresholds(benchmark, small):
 
 
 def test_ablation_allocator_iterations(benchmark, small):
-    table = run_once(benchmark, ablations.run_allocator_iterations, small)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "ablation_iterations", "small")["table"]
     benchmark.extra_info["rows"] = table.rows
-    by = {(r["iterations"], r["pattern"]): r["throughput"] for r in table.rows}
+    by = {(r["allocator_iterations"], r["pattern"]): r["throughput"] for r in table.rows}
     # More iterations never hurt materially; 3 (the paper's choice)
     # must match or beat 1 on both patterns.
     for pattern in ("UN", f"ADV+{small.h}"):
@@ -45,9 +39,7 @@ def test_ablation_allocator_iterations(benchmark, small):
 
 
 def test_ablation_ring_exits(benchmark, small):
-    table = run_once(benchmark, ablations.run_ring_exits, small)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "ablation_ring_exits", "small")["table"]
     benchmark.extra_info["rows"] = table.rows
     # The mechanism stays functional across the whole range (the bound
     # exists for livelock, not performance).
@@ -56,12 +48,10 @@ def test_ablation_ring_exits(benchmark, small):
 
 
 def test_ablation_mechanism_family(benchmark, small):
-    table = run_once(benchmark, ablations.run_mechanism_family, small)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "ablation_family", "small")["pivot"]
     benchmark.extra_info["rows"] = table.rows
-    thr = {r["routing"]: r["thr@0.4"] for r in table.rows}
-    lat = {r["routing"]: r["lat@0.4"] for r in table.rows}
+    thr = {r["variant"]: r["0.4_thr"] for r in table.rows}
+    lat = {r["variant"]: r["0.4_lat"] for r in table.rows}
     # The paper's ladder on the worst pattern: MIN at the bottom; the
     # source-adaptive mechanisms (UGAL/PAR/PB) in between; the OFAR
     # family on top (full OFAR and OFAR-L are statistically tied at

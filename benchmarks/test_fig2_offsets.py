@@ -6,19 +6,15 @@ concentration), high plateaus elsewhere; the valley floor tracks the
 *where* the valleys are.
 """
 
-from conftest import run_once
-
-from repro.experiments import fig2_offsets
+from conftest import figure, run_once
 
 
 def test_fig2b_offset_valleys(benchmark, medium):
     h = medium.h
     offsets = list(range(1, 2 * h + 1))  # two h-multiples + the points between
     table = run_once(
-        benchmark, fig2_offsets.run, medium, load=0.5, offsets=offsets
-    )
-    print()
-    print(table.to_text())
+        benchmark, figure, "fig2", "medium", pattern=[f"ADV+{n}" for n in offsets]
+    )["offsets"]
     benchmark.extra_info["rows"] = table.rows
     thr = {row["offset"]: row["throughput"] for row in table.rows}
     bound = {row["offset"]: row["l2_bound"] for row in table.rows}

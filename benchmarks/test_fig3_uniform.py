@@ -5,33 +5,20 @@ and it saturates later than PB; PB pays extra latency for unnecessary
 misrouting; OFAR vs OFAR-L differ negligibly under UN.
 """
 
-from conftest import run_once
-
-from repro.experiments import fig3_uniform
+from conftest import figure, run_once
 
 
-def test_fig3_uniform(benchmark, medium):
+def test_fig3_uniform(benchmark):
     loads = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    table, series = run_once(benchmark, fig3_uniform.run, medium, loads=loads)
-    print()
-    print(table.to_text())
-    print(fig3_uniform.summary(series).to_text())
-    benchmark.extra_info["rows"] = table.rows
-    by_name = {s.name: s for s in series}
+    tables = run_once(benchmark, figure, "fig3", "medium", load=loads)
+    curves = tables["series_table"].rows
+    benchmark.extra_info["rows"] = curves
+    sat = {r["series"]: r["saturation_thr"] for r in tables["summary"].rows}
     # OFAR latency at low load is competitive with MIN (within 40%).
-    assert by_name["ofar"].latency_at(0.1) < 1.4 * by_name["min"].latency_at(0.1)
+    assert curves[0]["load"] == 0.1
+    assert curves[0]["ofar_lat"] < 1.4 * curves[0]["min_lat"]
     # OFAR saturation throughput at least matches MIN and PB.
-    assert (
-        by_name["ofar"].saturation_throughput()
-        >= 0.95 * by_name["min"].saturation_throughput()
-    )
-    assert (
-        by_name["ofar"].saturation_throughput()
-        >= 0.95 * by_name["pb"].saturation_throughput()
-    )
+    assert sat["ofar"] >= 0.95 * sat["min"]
+    assert sat["ofar"] >= 0.95 * sat["pb"]
     # Local misrouting makes no significant difference under UN.
-    delta = abs(
-        by_name["ofar"].saturation_throughput()
-        - by_name["ofar-l"].saturation_throughput()
-    )
-    assert delta < 0.08
+    assert abs(sat["ofar"] - sat["ofar-l"]) < 0.08

@@ -5,20 +5,15 @@ VAL is the latency reference but saturates below the adaptive schemes;
 OFAR vs OFAR-L differ only slightly at this mild offset.
 """
 
-from conftest import run_once
-
-from repro.experiments import fig4_adv2
+from conftest import figure, run_once
 
 
-def test_fig4_adv2(benchmark, medium):
+def test_fig4_adv2(benchmark):
     loads = [0.1, 0.2, 0.3, 0.4, 0.5]
-    table, series = run_once(benchmark, fig4_adv2.run, medium, loads=loads)
-    print()
-    print(table.to_text())
-    print(fig4_adv2.summary(series).to_text())
-    benchmark.extra_info["rows"] = table.rows
-    by_name = {s.name: s for s in series}
-    sat = {name: s.saturation_throughput() for name, s in by_name.items()}
+    tables = run_once(benchmark, figure, "fig4", "medium", load=loads)
+    curves = tables["series_table"].rows
+    benchmark.extra_info["rows"] = curves
+    sat = {r["series"]: r["saturation_thr"] for r in tables["summary"].rows}
     # OFAR beats PB and VAL at saturation.
     assert sat["ofar"] > sat["pb"], f"OFAR {sat['ofar']} vs PB {sat['pb']}"
     assert sat["ofar"] > sat["val"], f"OFAR {sat['ofar']} vs VAL {sat['val']}"
@@ -26,4 +21,5 @@ def test_fig4_adv2(benchmark, medium):
     # bottleneck at this offset for h=3: K=2 < h).
     assert sat["ofar-l"] > sat["pb"] * 0.9
     # OFAR latency below saturation beats VAL's (fewer wasted hops).
-    assert by_name["ofar"].latency_at(0.2) < by_name["val"].latency_at(0.2)
+    assert curves[1]["load"] == 0.2
+    assert curves[1]["ofar_lat"] < curves[1]["val_lat"]

@@ -6,23 +6,20 @@ exceeds it, heading toward the 0.5 global limit (paper at h=6:
 OFAR 0.36 vs 0.166 for the rest).
 """
 
-from conftest import run_once
+from conftest import figure, run_once
 
 from repro.analysis.bounds import local_link_advh_bound
-from repro.experiments import fig5_advh
 
 
 def test_fig5_advh(benchmark, medium):
     loads = [0.1, 0.2, 0.3, 0.4, 0.5]
-    table, series = run_once(benchmark, fig5_advh.run, medium, loads=loads)
-    print()
-    print(table.to_text())
-    print(fig5_advh.summary(medium, series).to_text())
-    benchmark.extra_info["rows"] = table.rows
-    by_name = {s.name: s for s in series}
-    sat = {name: s.saturation_throughput() for name, s in by_name.items()}
+    tables = run_once(benchmark, figure, "fig5", "medium", load=loads)
+    benchmark.extra_info["rows"] = tables["series_table"].rows
+    summary = {r["series"]: r for r in tables["bound_summary"].rows}
+    sat = {name: r["saturation_thr"] for name, r in summary.items()}
     bound = local_link_advh_bound(medium.h)  # 1/3 at h=3
     # OFAR clearly exceeds the local-link bound...
+    assert summary["ofar"]["above_local_bound"] == "yes"
     assert sat["ofar"] > bound * 1.1, f"OFAR {sat['ofar']} vs bound {bound}"
     # ...and clearly beats every mechanism without local misrouting.
     for other in ("val", "pb", "ofar-l"):

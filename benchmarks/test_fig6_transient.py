@@ -7,15 +7,11 @@ take time to propagate and its misrouting is decided only at
 injection).
 """
 
-from conftest import run_once
-
-from repro.experiments import fig6_transient
+from conftest import figure, run_once
 
 
 def test_fig6_transients(benchmark, medium):
-    table = run_once(benchmark, fig6_transient.run, medium)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "fig6", "medium")["table"]
     benchmark.extra_info["rows"] = table.rows
     rows = {(r["transition"], r["routing"]): r for r in table.rows}
     h = medium.h

@@ -5,17 +5,13 @@ Paper claims (§VI-C): OFAR consumes every burst faster than PB
 no later than OFAR-L.  The uniform burst is where the gap is smallest.
 """
 
-from conftest import run_once
-
-from repro.experiments import fig7_bursts
+from conftest import figure, run_once
 
 
-def test_fig7_bursts(benchmark, medium):
-    table = run_once(benchmark, fig7_bursts.run, medium)
-    print()
-    print(table.to_text())
-    mean = fig7_bursts.ofar_speedup(table)
-    print(f"mean OFAR normalized time: {mean:.3f} (paper: 0.695)")
+def test_fig7_bursts(benchmark):
+    table = run_once(benchmark, figure, "fig7", "medium")["burst_table"]
+    mean = sum(r["ofar_norm"] for r in table.rows) / len(table.rows)
+    assert f"mean OFAR time vs PB {mean:.3f}" in table.title
     benchmark.extra_info["rows"] = table.rows
     benchmark.extra_info["ofar_mean_norm"] = mean
 

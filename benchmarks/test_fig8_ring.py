@@ -5,16 +5,12 @@ because the escape network resolves deadlocks instead of carrying
 traffic (ring usage stays marginal below saturation).
 """
 
-from conftest import run_once
-
-from repro.experiments import fig8_ring
+from conftest import figure, run_once
 
 
-def test_fig8_ring_equivalence(benchmark, medium):
+def test_fig8_ring_equivalence(benchmark):
     loads = [0.1, 0.25, 0.4, 0.5]
-    table = run_once(benchmark, fig8_ring.run, medium, loads=loads)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "fig8", "medium", load=loads)["pivot"]
     benchmark.extra_info["rows"] = table.rows
     for row in table.rows:
         if row["load"] <= 0.4:

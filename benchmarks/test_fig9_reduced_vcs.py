@@ -6,16 +6,12 @@ high adversarial load: throughput degrades vs the fully-provisioned
 configuration and the escape ring usage rises sharply.
 """
 
-from conftest import run_once
-
-from repro.experiments import fig9_reduced_vcs
+from conftest import figure, run_once
 
 
-def test_fig9_reduced_vcs(benchmark, medium):
+def test_fig9_reduced_vcs(benchmark):
     loads = [0.15, 0.3, 0.5]
-    table = run_once(benchmark, fig9_reduced_vcs.run, medium, loads=loads)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "fig9", "medium", load=loads)["pivot"]
     benchmark.extra_info["rows"] = table.rows
     # At low load the reduced configuration keeps up.
     for row in table.rows:

@@ -10,18 +10,14 @@ not come from VCs.  At equal total buffering:
   throughput at equal or better latency.
 """
 
-from conftest import run_once
-
-from repro.experiments import router_design
+from conftest import figure, run_once
 
 
 def test_router_designs(benchmark, small):
-    table = run_once(benchmark, router_design.run, small)
-    print()
-    print(table.to_text())
+    table = run_once(benchmark, figure, "router_design", "small")["table"]
     benchmark.extra_info["rows"] = table.rows
     rows = {
-        (r["design"], r["pattern"], r["load"]): r for r in table.rows
+        (r["variant"], r["pattern"], r["load"]): r for r in table.rows
     }
     adv = f"ADV+{small.h}"
     hi = 0.45

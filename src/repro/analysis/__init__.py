@@ -12,7 +12,7 @@
   a live simulation;
 - :mod:`repro.analysis.plots` — terminal (ASCII) charts;
 - :mod:`repro.analysis.results` — tabular result containers and
-  CSV/markdown emission for the experiment drivers.
+  CSV/markdown emission for the campaign emitters and studies.
 """
 
 from repro.analysis.bounds import (

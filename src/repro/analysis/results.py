@@ -1,4 +1,4 @@
-"""Result containers and emission helpers for experiment drivers.
+"""Result containers and emission helpers for campaigns and studies.
 
 Experiments produce :class:`Series` (one named curve of
 :class:`~repro.engine.metrics.LoadPoint`) and :class:`Table` (rows of

@@ -2,7 +2,8 @@
 
 One YAML/JSON file names a whole study: a base config inherited via
 recursive ``inherits:`` deep-merge, a cartesian ``combination:`` grid
-over routing/pattern/load/config axes, ``seeds:``/``replications:``
+over routing/pattern/load/config axes (plus named ``variant``
+bundles of config overrides), ``seeds:``/``replications:``
 N-seed replication (reported as mean ± 95% CI half-width), and
 ``post:`` hooks naming figure/table emitters.  The file compiles to a
 deterministic :class:`~repro.engine.runspec.RunSpec` grid executed by
@@ -23,6 +24,7 @@ from repro.campaign.runner import (
     validate_post,
 )
 from repro.campaign.spec import (
+    BurstPoint,
     CampaignError,
     CampaignPoint,
     CampaignSpec,
@@ -34,6 +36,7 @@ from repro.campaign.spec import (
 
 __all__ = [
     "EMITTERS",
+    "BurstPoint",
     "CampaignError",
     "CampaignPoint",
     "CampaignRun",

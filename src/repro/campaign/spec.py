@@ -1,8 +1,8 @@
 """Declarative campaign specifications.
 
 A *campaign* names a whole study — a figure grid, an ablation, a
-variant sweep — in one YAML/JSON file instead of one driver
-``__main__`` per figure.  The file format converges on the shape both
+variant sweep — in one YAML/JSON file; it is the only definition a
+figure has.  The file format converges on the shape both
 related simulators settled on (savannah's ``inherits:`` deep-merge,
 the 6tisch simulator's ``combination``/``numRuns``/``post``):
 
@@ -25,6 +25,20 @@ the 6tisch simulator's ``combination``/``numRuns``/``post``):
 The load shorthand also accepts ``max_windows`` inline —
 ``load: {saturating: 0.56, points: 7, max_windows: 12}`` — enabling
 the windowed-convergence protocol for exactly the points it generates.
+``pattern: {adv_offsets: 3}`` is the h-relative offset sweep of Fig. 2
+(``ADV+1 … ADV+min(3h, 2h²)``), so one file serves every scale.
+
+Axis values are scalars.  Configurations that differ in *several*
+fields at once are a ``variant`` axis of named bundles — the name is
+the coordinate, the rest are SimulationConfig overrides (``routing``
+and ``thresholds`` included):
+
+.. code-block:: yaml
+
+    combination:
+      variant:
+        - {name: reduced, escape: embedded, local_vcs: 2, global_vcs: 1}
+        - {name: full, escape: embedded}
 
 :func:`load_campaign` resolves inheritance (missing bases and cycles
 are hard errors) and returns a frozen :class:`CampaignSpec`;
@@ -34,8 +48,8 @@ innermost — whose steady points are ordinary
 :class:`~repro.engine.runspec.RunSpec` values.  Everything downstream
 (orchestrator workers, result-store caching, resume, telemetry,
 ``--snapshot-every``) therefore works on campaign points unchanged,
-and a campaign point is *byte-identical* to the same point run through
-a figure driver: same builder, same salts, same fingerprint.
+and a campaign point is *byte-identical* to the same RunSpec built by
+hand: same builder, same salts, same fingerprint.
 """
 
 from __future__ import annotations
@@ -51,10 +65,14 @@ from repro.engine.config import SimulationConfig, ThresholdConfig
 from repro.engine.runspec import RunSpec
 from repro.experiments.common import Scale, get_scale
 
-KINDS = ("steady", "transient", "scenario")
+KINDS = ("steady", "transient", "burst", "scenario")
+
+#: Kinds whose points are time series / completion times, not
+#: LoadPoints: they run in-process and have no store representation.
+IN_PROCESS_KINDS = ("transient", "burst")
 
 #: Axes with run-level (not SimulationConfig) meaning.
-RUN_AXES = ("routing", "pattern", "load", "transition")
+RUN_AXES = ("routing", "pattern", "load", "transition", "variant")
 
 _KNOWN_KEYS = {
     "name", "description", "kind", "scale", "config", "combination",
@@ -182,19 +200,33 @@ class TransientPoint:
 
 
 @dataclass(frozen=True)
+class BurstPoint:
+    """One burst-consumption measurement (Fig. 7 protocol) of a campaign."""
+
+    config: SimulationConfig
+    pattern: str
+    packets_per_node: int
+
+
+@dataclass(frozen=True)
 class CampaignPoint:
     """One expanded grid point: its coordinates and its executable form.
 
     ``coords`` lists the combination axes in declared order (pattern
-    strings resolved, e.g. ``ADV+h`` -> ``ADV+3``) with the replication
-    seed appended last, so expansion order and point identity are both
-    readable straight off it.
+    strings resolved, e.g. ``ADV+h`` -> ``ADV+3``; a variant by its
+    name) with the replication seed appended last, so expansion order
+    and point identity are both readable straight off it.
     """
 
     coords: tuple[tuple[str, object], ...]
     replication: int
-    spec: RunSpec | None = None  # steady campaigns
+    spec: RunSpec | None = None  # steady and scenario campaigns
     transient: TransientPoint | None = None  # transient campaigns
+    burst: BurstPoint | None = None  # burst campaigns
+
+    @property
+    def config(self) -> SimulationConfig:
+        return (self.spec or self.transient or self.burst).config
 
     def label(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.coords)
@@ -202,10 +234,52 @@ class CampaignPoint:
 
 def _resolve_pattern(spec: str, h: int) -> str:
     """``ADV+h`` -> ``ADV+<h>`` (the campaign-file form of Fig. 5/6's
-    worst-case offset, which depends on the point's own network size)."""
-    if isinstance(spec, str) and spec.endswith("+h"):
+    worst-case offset, which depends on the point's own network size).
+
+    A resolved ``ADV+N`` must name another group of the point's own
+    network (``N`` in ``[1, 2h²]``); anything else would only fail when
+    the point's traffic pattern is built, mid-run.
+    """
+    if not isinstance(spec, str):
+        return spec
+    if spec.endswith("+h"):
         return f"{spec[:-1]}{h}"
+    if spec.upper().startswith("ADV+"):
+        offset, groups = spec[4:], 2 * h * h + 1
+        if not offset.isdigit() or not 1 <= int(offset) < groups:
+            raise ValueError(
+                f"{spec} is not a pattern of an h={h} network "
+                f"(ADV offsets run from 1 to {groups - 1})"
+            )
     return spec
+
+
+def _check_variants(combination: dict) -> list[dict]:
+    """Validate the ``variant`` axis: uniquely named bundles of config
+    overrides, none of which the grid also varies as an axis."""
+    variants = combination.get("variant", [])
+    for v in variants:
+        if not isinstance(v, dict) or not isinstance(v.get("name"), str):
+            raise CampaignError(
+                "each 'variant' must be {name: <str>, <config overrides>}, "
+                f"got {v!r}"
+            )
+        fields = set(v) - {"name"}
+        bad = (fields - _CONFIG_FIELDS) | (fields & {"seed"})
+        if bad:
+            raise CampaignError(
+                f"variant {v['name']!r}: unknown config overrides {sorted(bad)}"
+            )
+        clash = fields & set(combination)
+        if clash:
+            raise CampaignError(
+                f"variant {v['name']!r} sets {sorted(clash)}, which the grid "
+                "already varies as an axis"
+            )
+    names = [v["name"] for v in variants]
+    if len(set(names)) != len(names):
+        raise CampaignError(f"duplicate variant names: {names}")
+    return variants
 
 
 @dataclass(frozen=True)
@@ -263,8 +337,10 @@ class CampaignSpec:
             raise CampaignError(
                 "'seed' cannot be a combination axis; use 'seeds:' or 'replications:'"
             )
+        variants = _check_variants(combination)
         required = {
             "transient": ("routing", "transition"),
+            "burst": ("routing", "pattern"),
             # A scenario campaign's traffic comes from its ScenarioSpec;
             # the grid varies routing (and config fields), never the
             # workload itself — identical churn under every routing.
@@ -272,6 +348,8 @@ class CampaignSpec:
             "steady": ("routing", "pattern", "load"),
         }[kind]
         for axis in required:
+            if axis == "routing" and variants and all("routing" in v for v in variants):
+                continue
             if axis not in combination:
                 raise CampaignError(f"{kind} campaigns need a {axis!r} axis in 'combination'")
         for axis in combination:
@@ -284,6 +362,11 @@ class CampaignSpec:
                 )
         if kind != "transient" and "transition" in combination:
             raise CampaignError("'transition' is a transient-campaign axis")
+        if kind == "burst" and "load" in combination:
+            raise CampaignError(
+                "'load' is not a burst-campaign axis: every node injects "
+                "the scale's fixed backlog as fast as it can"
+            )
         if kind == "scenario":
             for axis in ("pattern", "load"):
                 if axis in combination:
@@ -298,13 +381,28 @@ class CampaignSpec:
                         "each 'transition' must be {before, after, load}, got "
                         f"{t!r}"
                     )
+        patterns = combination.get("pattern", [])
+        if len(patterns) == 1 and isinstance(patterns[0], dict):
+            # The h-relative offset sweep of Fig. 2: every offset up to
+            # ``adv_offsets`` multiples of h (capped at the group count).
+            span = patterns[0].get("adv_offsets")
+            if set(patterns[0]) != {"adv_offsets"} or not isinstance(span, int) \
+                    or isinstance(span, bool) or span < 1:
+                raise CampaignError(
+                    "pattern grid spec must be {adv_offsets: <positive int>}, "
+                    f"got {patterns[0]!r}"
+                )
+            h = config.get("h", scale_obj.h)
+            combination["pattern"] = [
+                f"ADV+{n}" for n in range(1, min(span * h, 2 * h * h) + 1)
+            ]
         max_windows = data.get("max_windows")
         if kind == "steady" and "load" in combination:
             loads = combination["load"]
-            # The dict form mirrors Scale.loads(saturating, points): the
-            # drivers' default sweep reaching past saturation.  An
-            # inline max_windows turns on windowed convergence for the
-            # points this shorthand generates.
+            # The dict form is Scale.loads(saturating, points): an even
+            # sweep reaching past saturation.  An inline max_windows
+            # turns on windowed convergence for the points this
+            # shorthand generates.
             if len(loads) == 1 and isinstance(loads[0], dict):
                 kw = dict(loads[0])
                 if not set(kw) <= {"saturating", "points", "max_windows"}:
@@ -320,6 +418,18 @@ class CampaignSpec:
             for load in combination["load"]:
                 if not isinstance(load, (int, float)) or isinstance(load, bool):
                     raise CampaignError(f"loads must be numbers, got {load!r}")
+        for axis, values in combination.items():
+            if axis in ("transition", "variant"):
+                continue
+            for value in values:
+                # A mapping/list coordinate cannot key a table row; the
+                # emitters would only find out after every point has run.
+                if isinstance(value, (dict, list)):
+                    raise CampaignError(
+                        f"axis {axis!r}: values must be scalars, got {value!r}; "
+                        "bundle multi-field configurations as a 'variant' "
+                        "axis of {name: ..., <overrides>} entries"
+                    )
 
         seeds = data.get("seeds")
         replications = data.get("replications")
@@ -407,16 +517,16 @@ class CampaignSpec:
         )
 
     # ------------------------------------------------------------------
-    def _config_for(self, axis_overrides: dict, seed: int) -> SimulationConfig:
-        """The point config: campaign overrides < axis values < seed."""
-        overrides = {**self.config, **axis_overrides}
+    def _config_for(self, overrides: dict, seed: int) -> SimulationConfig:
+        """The point config: campaign ``config:`` < variant bundle < axis
+        values < seed."""
+        overrides = {**self.config, **overrides}
         overrides.pop("seed", None)
         routing = overrides.pop("routing")
-        thresholds = overrides.get("thresholds")
-        if isinstance(thresholds, dict):
-            overrides["thresholds"] = ThresholdConfig(**thresholds)
         h = overrides.pop("h", None)
         try:
+            if isinstance(overrides.get("thresholds"), dict):
+                overrides["thresholds"] = ThresholdConfig(**overrides["thresholds"])
             if h is not None and not self.scale.paper_params:
                 return SimulationConfig.small(h=h, routing=routing, seed=seed, **overrides)
             if h is not None:
@@ -425,75 +535,76 @@ class CampaignSpec:
         except (TypeError, ValueError) as exc:
             raise CampaignError(f"campaign {self.name!r}: bad point config: {exc}") from None
 
+    def _executable(self, named: dict, config: SimulationConfig, backend: str):
+        """``(resolved coordinates, CampaignPoint field)`` of one grid
+        cell; raises ValueError for a point that cannot be built."""
+        if self.kind == "transient":
+            t = named["transition"]
+            before = _resolve_pattern(t["before"], config.h)
+            after = _resolve_pattern(t["after"], config.h)
+            return {"transition": f"{before}->{after}@{t['load']:g}"}, {
+                "transient": TransientPoint(
+                    config=config,
+                    before=before,
+                    after=after,
+                    load=t["load"],
+                    warmup=self.transient_warmup,
+                    post=self.transient_post,
+                    bucket=max(10, self.transient_post // 100),
+                ),
+            }
+        if self.kind == "scenario":
+            # The ScenarioSpec is shared by every point — same arrivals,
+            # same schedule, same faults — while the config (routing,
+            # seed, ...) varies, so the grid compares routings under
+            # *identical* churn.
+            return {}, {"spec": RunSpec.for_scenario(config, self.scenario, backend=backend)}
+        pattern = _resolve_pattern(named["pattern"], config.h)
+        if self.kind == "burst":
+            backlog = self.scale.burst_packets_per_node
+            return {"pattern": pattern}, {"burst": BurstPoint(config, pattern, backlog)}
+        return {"pattern": pattern}, {
+            "spec": RunSpec(
+                config, pattern, named["load"], self.warmup, self.measure,
+                max_windows=self.max_windows, backend=backend,
+            ),
+        }
+
     def expand(self) -> list[CampaignPoint]:
         """The deterministic point grid.
 
         Ordering contract (pinned by tests, relied on by resume logs):
         axes iterate in their declared ``combination:`` order, first
         axis outermost, with the replication seeds innermost — so all
-        replications of one grid coordinate are adjacent.
+        replications of one grid coordinate are adjacent.  Coordinates
+        that resolve to one already emitted (``ADV+2`` and ``ADV+h`` at
+        h=2) are emitted once.  Every point is buildable: a pattern the
+        point's own network cannot carry is a :class:`CampaignError`
+        here, not a traceback after the points before it have run.
         """
-        axes = list(self.combination.items())
-        names = [name for name, _ in axes]
+        names = list(self.combination)
         points: list[CampaignPoint] = []
-        for combo in itertools.product(*(values for _, values in axes)):
+        seen: set[tuple] = set()
+        backend = self.backend or default_backend()
+        for combo in itertools.product(*self.combination.values()):
             named = dict(zip(names, combo))
-            config_axes = {
-                key: value for key, value in named.items() if key not in RUN_AXES
-            }
-            config_axes["routing"] = named["routing"]
+            overrides = dict(named.get("variant", {}))
+            if overrides:
+                named["variant"] = overrides.pop("name")
+            overrides.update(
+                (k, v) for k, v in named.items() if k == "routing" or k not in RUN_AXES
+            )
             for replication, seed in enumerate(self.seeds):
-                config = self._config_for(config_axes, seed)
-                if self.kind == "transient":
-                    t = named["transition"]
-                    before = _resolve_pattern(t["before"], config.h)
-                    after = _resolve_pattern(t["after"], config.h)
-                    coords = tuple(
-                        (k, f"{before}->{after}@{t['load']:g}" if k == "transition"
-                         else named[k])
-                        for k in names
-                    ) + (("seed", seed),)
-                    points.append(CampaignPoint(
-                        coords=coords,
-                        replication=replication,
-                        transient=TransientPoint(
-                            config=config,
-                            before=before,
-                            after=after,
-                            load=t["load"],
-                            warmup=self.transient_warmup,
-                            post=self.transient_post,
-                            bucket=max(10, self.transient_post // 100),
-                        ),
-                    ))
-                elif self.kind == "scenario":
-                    # The ScenarioSpec is shared by every point — same
-                    # arrivals, same schedule, same faults — while the
-                    # config (routing, seed, ...) varies, so the grid
-                    # compares routings under *identical* churn.
-                    coords = tuple(
-                        (k, named[k]) for k in names
-                    ) + (("seed", seed),)
-                    points.append(CampaignPoint(
-                        coords=coords,
-                        replication=replication,
-                        spec=RunSpec.for_scenario(
-                            config, self.scenario,
-                            backend=self.backend or default_backend(),
-                        ),
-                    ))
-                else:
-                    pattern = _resolve_pattern(named["pattern"], config.h)
-                    coords = tuple(
-                        (k, pattern if k == "pattern" else named[k]) for k in names
-                    ) + (("seed", seed),)
-                    points.append(CampaignPoint(
-                        coords=coords,
-                        replication=replication,
-                        spec=RunSpec(
-                            config, pattern, named["load"], self.warmup, self.measure,
-                            max_windows=self.max_windows,
-                            backend=self.backend or default_backend(),
-                        ),
-                    ))
+                config = self._config_for(overrides, seed)
+                try:
+                    resolved, executable = self._executable(named, config, backend)
+                except ValueError as exc:
+                    label = " ".join(f"{k}={v}" for k, v in named.items())
+                    raise CampaignError(
+                        f"campaign {self.name!r}, point [{label}]: {exc}"
+                    ) from None
+                coords = tuple({**named, **resolved}.items()) + (("seed", seed),)
+                if coords not in seen:
+                    seen.add(coords)
+                    points.append(CampaignPoint(coords, replication, **executable))
         return points

@@ -11,16 +11,14 @@ Commands
 - ``burst``     — Fig. 7-style burst-consumption experiment;
 - ``interference`` — multi-job bully/victim study: per-job LoadPoints
   and slowdowns vs isolated baselines under MIN vs OFAR;
-- ``offsets``   — Fig. 2-style ADV offset study (simulated + analytic);
-- ``figure``    — regenerate a paper figure by name (fig2..fig9, ablations,
-  congestion, mapping);
 - ``scenario``  — cluster scenarios (``repro.cluster``): ``schedule``
   compiles a churn scenario's job timeline without the network,
   ``run`` executes it and reports per-job outcomes and fault blast
   radii;
 - ``campaign``  — declarative campaign files (``repro.campaign``):
   ``validate`` / ``expand`` / ``run`` a YAML/JSON study with config
-  inheritance, cartesian grids, seed replication and post emitters;
+  inheritance, cartesian grids, seed replication and post emitters —
+  every figure of the paper is one file under ``campaigns/``;
 - ``fabric``    — distributed campaign draining (``repro.fabric``):
   ``work`` runs one lease-coordinated worker against a shared store
   (start any number, on any hosts that see the directory), ``status``
@@ -39,7 +37,7 @@ Examples::
         --store /tmp/st --telemetry 100
     python -m repro telemetry --routing pb --before UN --after ADV+2 \
         --out series.jsonl --heatmap
-    python -m repro figure fig5 --scale medium
+    python -m repro campaign run campaigns/fig5.yaml --scale medium
     python -m repro campaign run campaigns/fig3.yaml --workers 8 --resume
     python -m repro fabric work campaigns/h6_first.yaml \
         --store /shared/h6 --snapshot-every 2000   # on every host
@@ -69,7 +67,6 @@ from repro.experiments.common import (
     DEFAULT_STORE,
     fabric_options_from_args,
     get_scale,
-    orchestration,
     orchestration_options,
     orchestrator_from_args,
 )
@@ -216,86 +213,16 @@ def cmd_interference(args) -> None:
 
     scale = get_scale(args.scale)
     routings = tuple(args.routings.split(","))
-    with orchestration(orchestrator_from_args(args)):
-        outcomes = interference.run(
-            scale, routings,
-            bully_load=args.bully_load, victim_load=args.victim_load,
-            seed=args.seed,
-        )
+    orchestrator = orchestrator_from_args(args)
+    outcomes = interference.run(
+        scale, routings,
+        bully_load=args.bully_load, victim_load=args.victim_load,
+        seed=args.seed,
+        store=orchestrator.store, use_cache=orchestrator.use_cache,
+    )
     print(interference.points_table(scale, outcomes).to_text())
     print(interference.slowdown_table(scale, outcomes).to_text())
     print(interference.verdict(outcomes))
-
-
-def cmd_offsets(args) -> None:
-    from repro.experiments import fig2_offsets
-
-    scale = get_scale(args.scale)
-    print(fig2_offsets.run(scale, load=args.load).to_text())
-
-
-def cmd_figure(args) -> None:
-    scale = get_scale(args.scale)
-    with orchestration(orchestrator_from_args(args)):
-        _dispatch_figure(args, scale)
-
-
-def _dispatch_figure(args, scale) -> None:
-    from repro.experiments import (
-        ablations,
-        congestion,
-        fig2_offsets,
-        fig3_uniform,
-        fig4_adv2,
-        fig5_advh,
-        fig6_transient,
-        fig7_bursts,
-        fig8_ring,
-        fig9_reduced_vcs,
-        mapping_study,
-    )
-
-    name = args.name.lower()
-    if name == "fig2":
-        print(fig2_offsets.run(scale).to_text())
-    elif name == "fig3":
-        table, series = fig3_uniform.run(scale)
-        print(table.to_text())
-        print(fig3_uniform.summary(series).to_text())
-    elif name == "fig4":
-        table, series = fig4_adv2.run(scale)
-        print(table.to_text())
-        print(fig4_adv2.summary(series).to_text())
-    elif name == "fig5":
-        table, series = fig5_advh.run(scale)
-        print(table.to_text())
-        print(fig5_advh.summary(scale, series).to_text())
-    elif name == "fig6":
-        print(fig6_transient.run(scale).to_text())
-    elif name == "fig7":
-        table = fig7_bursts.run(scale)
-        print(table.to_text())
-        print(f"mean OFAR time vs PB: {fig7_bursts.ofar_speedup(table):.3f} (paper: 0.695)")
-    elif name == "fig8":
-        print(fig8_ring.run(scale).to_text())
-    elif name == "fig9":
-        print(fig9_reduced_vcs.run(scale).to_text())
-    elif name == "ablations":
-        print(ablations.run_thresholds(scale).to_text())
-        print(ablations.run_allocator_iterations(scale).to_text())
-        print(ablations.run_ring_exits(scale).to_text())
-        print(ablations.run_mechanism_family(scale).to_text())
-    elif name == "congestion":
-        print(congestion.run(scale).to_text())
-    elif name == "mapping":
-        print(mapping_study.run(scale).to_text())
-    elif name == "design":
-        from repro.experiments import router_design
-
-        print(router_design.run(scale).to_text())
-    else:
-        raise SystemExit(f"unknown figure {args.name!r} (fig2..fig9, ablations, "
-                         f"congestion, mapping, design)")
 
 
 def _load_campaign_or_exit(args):
@@ -313,14 +240,14 @@ def cmd_campaign_run(args) -> None:
     from repro.campaign import CampaignError, emit, run_campaign, run_campaign_fabric
 
     campaign = _load_campaign_or_exit(args)
-    if getattr(args, "fabric", False) or getattr(args, "coordinator", None):
-        store, options = fabric_options_from_args(args)
-        try:
+    try:
+        if getattr(args, "fabric", False) or getattr(args, "coordinator", None):
+            store, options = fabric_options_from_args(args)
             run = run_campaign_fabric(campaign, store, **options)
-        except CampaignError as exc:
-            raise SystemExit(f"campaign error: {exc}") from None
-    else:
-        run = run_campaign(campaign, orchestrator_from_args(args))
+        else:
+            run = run_campaign(campaign, orchestrator_from_args(args))
+    except CampaignError as exc:
+        raise SystemExit(f"campaign error: {exc}") from None
     c = run.counts
     print(f"[campaign {campaign.name}] {c['total']} points: "
           f"{c['done']} run, {c['cached']} cached, {c['failed']} failed")
@@ -342,7 +269,8 @@ def cmd_campaign_run(args) -> None:
 def cmd_campaign_expand(args) -> None:
     campaign = _load_campaign_or_exit(args)
     for i, point in enumerate(campaign.expand()):
-        key = point.spec.fingerprint()[:12] if point.spec is not None else "transient   "
+        key = (point.spec.fingerprint()[:12] if point.spec is not None
+               else campaign.kind.ljust(12))
         print(f"{i:4d}  {key}  {point.label()}")
 
 
@@ -549,10 +477,12 @@ def cmd_snapshot_bisect(args) -> None:
 
 def _fabric_campaign_specs(args):
     """The campaign plus its expanded RunSpec grid (steady/scenario)."""
+    from repro.campaign.spec import IN_PROCESS_KINDS
+
     campaign = _load_campaign_or_exit(args)
-    if campaign.kind == "transient":
+    if campaign.kind in IN_PROCESS_KINDS:
         raise SystemExit(
-            "fabric error: transient campaigns have no store "
+            f"fabric error: {campaign.kind} campaigns have no store "
             "representation to coordinate through"
         )
     return campaign, [p.spec for p in campaign.expand()]
@@ -1052,18 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("dir", nargs="?", default=DEFAULT_STORE,
                    help=f"store directory (default {DEFAULT_STORE!r})")
     q.set_defaults(func=cmd_store_stats)
-
-    p = sub.add_parser("offsets", help="ADV offset study (Fig. 2)")
-    p.add_argument("--scale", default="small")
-    p.add_argument("--load", type=float, default=0.5)
-    p.set_defaults(func=cmd_offsets)
-
-    p = sub.add_parser("figure", help="regenerate a paper figure",
-                       parents=[orchestration_options()])
-    p.add_argument("name", help="fig2..fig9, ablations, congestion, mapping")
-    p.add_argument("--scale", default="medium",
-                   choices=["tiny", "small", "medium", "large", "paper"])
-    p.set_defaults(func=cmd_figure)
 
     return parser
 

@@ -1,7 +1,7 @@
 """Experiment runners: steady state, load sweeps, transients, bursts.
 
 These wrap :class:`~repro.engine.simulator.Simulator` with the paper's
-measurement protocols so experiment drivers and benchmarks stay
+measurement protocols so campaigns, studies and benchmarks stay
 declarative.
 """
 
@@ -127,6 +127,49 @@ class TransientResult:
             else:
                 settled_from = None
         return settled_from
+
+    def summarize(self, tail: int = 500) -> dict:
+        """Fig. 6 summary: pre-switch level, post-switch spike, the
+        settled level and the settle time back to within 1.5x of it."""
+        switch = self.switch_cycle
+        pre = self.average_latency(max(0, switch - tail), switch)
+        spike = max(
+            (lat for cyc, lat in self.series if cyc >= switch),
+            default=float("nan"),
+        )
+        series_end = self.series[-1][0] if self.series else switch
+        settled_level = self.average_latency(max(switch, series_end - tail), series_end + 1)
+        settle = self.settle_cycle(target=1.5 * settled_level, after=switch)
+        return {
+            "pre_latency": round(pre, 1),
+            "spike_latency": round(spike, 1),
+            "settled_latency": round(settled_level, 1),
+            "settle_cycles": (settle - switch) if settle is not None else None,
+        }
+
+    def settle_crosscheck(self, tail: int = 500) -> dict:
+        """Latency-based vs utilization-based settle time.
+
+        Requires a result produced with telemetry.  Both numbers use the
+        same semantics (first point after the switch from which the
+        signal stays within 1.5× its final level), so they should land
+        within a sampling window of each other when latency and link
+        load settle together — a disagreement means the network found a
+        new equilibrium where one signal recovered but the other did not.
+        """
+        from repro.analysis.heatmap import settle_from_utilization
+
+        if self.telemetry is None:
+            raise ValueError("run the transient with a TelemetryConfig first")
+        util_settle = settle_from_utilization(
+            self.telemetry, after=self.switch_cycle, kind="local"
+        )
+        return {
+            "settle_latency": self.summarize(tail=tail)["settle_cycles"],
+            "settle_util": (
+                util_settle - self.switch_cycle if util_settle is not None else None
+            ),
+        }
 
 
 def _build_transient_sim(

@@ -1,28 +1,21 @@
-"""Shared scaffolding for the per-figure experiment drivers.
+"""Shared scaffolding of the run layer's front ends.
 
-Besides the :class:`Scale` presets this module owns the drivers'
-execution context: every driver funnels its steady-state points through
-:func:`run_specs`, i.e. through the installed
-:class:`~repro.engine.orchestrator.Orchestrator` — by default an
-in-process, store-less one (sequential, the first failure raises); the
-shared flags swap in parallel workers, result-store caching, resume and
-per-point fault tolerance.
-
-The ``--workers/--resume/--store/--no-cache/--progress/--timeout/
---telemetry/--snapshot-every`` options every
-``python -m repro.experiments.figX`` entry
-point (and the ``repro sweep`` / ``repro figure`` CLI) accepts come
-from the single argparse parent built by
-:func:`orchestration_options`; drivers never copy those flags per file.
+The :class:`Scale` presets (network size + window lengths, what a
+campaign's ``scale:`` key and every ``--scale`` flag name) and THE
+definition of the run layer's command-line surface:
+:func:`add_run_args` declares the ``--workers/--resume/--store/
+--no-cache/--progress/--timeout/--telemetry/--snapshot-every/
+--backend/--fabric`` flags once, and :func:`orchestrator_from_args` /
+:func:`fabric_options_from_args` interpret them, for ``repro sweep``,
+``repro campaign run``, ``repro interference`` and ``repro fabric
+work`` alike.
 """
 
 from __future__ import annotations
 
 import argparse
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.analysis.results import Series
 from repro.engine.backend import default_backend, set_default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.orchestrator import Orchestrator
@@ -102,65 +95,6 @@ def get_scale(name: str) -> Scale:
 
 
 # ----------------------------------------------------------------------
-# Orchestration context
-# ----------------------------------------------------------------------
-
-_ORCHESTRATOR = Orchestrator(workers=0, retries=0)
-
-
-def set_orchestrator(orchestrator: Orchestrator) -> None:
-    """Install the orchestrator every driver's :func:`run_specs` uses.
-
-    The default is in-process sequential execution with no store —
-    bit-identical to calling :func:`repro.engine.runner.run_spec` in a
-    loop, which is what tests and benchmarks expect.
-    """
-    global _ORCHESTRATOR
-    _ORCHESTRATOR = orchestrator
-
-
-def current_orchestrator() -> Orchestrator:
-    return _ORCHESTRATOR
-
-
-@contextmanager
-def orchestration(orchestrator: Orchestrator):
-    """Scoped :func:`set_orchestrator` (restores the previous context)."""
-    previous = _ORCHESTRATOR
-    set_orchestrator(orchestrator)
-    try:
-        yield orchestrator
-    finally:
-        set_orchestrator(previous)
-
-
-def run_specs(specs: list[RunSpec]) -> list:
-    """Resolve steady-state points through the installed context.
-
-    This is the drivers' single entry to the run layer.  A failed point
-    raises its original exception (figure tables need every cell).
-    """
-    return _ORCHESTRATOR.run_points(specs)
-
-
-def sweep(
-    scale: Scale,
-    routing: str,
-    pattern: str,
-    loads: list[float],
-    **config_overrides,
-) -> Series:
-    """One latency/throughput curve for (routing, pattern)."""
-    specs = [
-        scale.spec(routing, pattern, load, **config_overrides) for load in loads
-    ]
-    series = Series(name=routing)
-    for point in run_specs(specs):
-        series.add(point)
-    return series
-
-
-# ----------------------------------------------------------------------
 # Shared CLI options
 # ----------------------------------------------------------------------
 
@@ -168,9 +102,9 @@ def add_run_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Attach the shared run-execution flags to ``parser``.
 
     This is THE definition of the run layer's command-line surface:
-    drivers (via :func:`cli_scale`), ``repro sweep``/``repro figure``,
-    and ``repro campaign run`` all call it, so the flag set cannot
-    drift between entry points.  Parse results feed
+    ``repro sweep``, ``repro campaign run``, ``repro interference`` and
+    ``repro fabric work`` all call it, so the flag set cannot drift
+    between entry points.  Parse results feed
     :func:`orchestrator_from_args`, which interprets every flag
     (including ``--backend``) in one place.
     """
@@ -418,22 +352,14 @@ def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator:
     )
 
 
-def cli_scale(description: str) -> Scale:
-    """Parse the ``python -m repro.experiments.figX`` command line.
-
-    Returns the selected :class:`Scale` and, as a side effect, installs
-    the orchestration context requested by the shared
-    ``--workers/--resume/--store/--no-cache/--progress`` flags.
-    """
-    parser = argparse.ArgumentParser(
-        description=description, parents=[orchestration_options()]
-    )
+def scale_from_cli(description: str) -> Scale:
+    """Parse a study module's ``python -m repro.experiments.<study>
+    [--scale NAME]`` command line."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
         "--scale",
         default="medium",
         choices=sorted(_SCALES),
         help="network size / run length preset (default: medium, h=3)",
     )
-    args = parser.parse_args()
-    set_orchestrator(orchestrator_from_args(args))
-    return get_scale(args.scale)
+    return get_scale(parser.parse_args().scale)

@@ -1,7 +1,7 @@
 """Multi-job interference study: an adversarial bully next to a victim.
 
 The paper's single-tenant experiments show OFAR escaping ADV+h
-saturation; this driver asks the *multi-tenant* question instead: when
+saturation; this study asks the *multi-tenant* question instead: when
 one application (the "bully") drives worst-case adversarial traffic,
 how much does a well-behaved neighbour (the "victim") suffer, and does
 adaptive routing contain the blast radius?
@@ -35,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.results import Table
-from repro.engine.runspec import RunSpec
-from repro.experiments.common import Scale, cli_scale, current_orchestrator
-from repro.topology.dragonfly import Dragonfly
+from repro.analysis.store import ResultStore
 from repro.engine.execute import execute_cached
+from repro.engine.runspec import RunSpec
+from repro.experiments.common import Scale, scale_from_cli
+from repro.topology.dragonfly import Dragonfly
 from repro.workloads.runner import WorkloadResult, isolated_spec, job_slowdowns
 from repro.workloads.spec import JobSpec, WorkloadSpec
 
@@ -99,12 +100,15 @@ def run_routing(
     bully_load: float = 0.7,
     victim_load: float = 0.2,
     seed: int = 7,
+    store: ResultStore | None = None,
+    use_cache: bool = True,
 ) -> RoutingOutcome:
-    """Shared run + per-job isolated baselines for one routing."""
+    """Shared run + per-job isolated baselines for one routing, each
+    resolved through ``store``'s sidecar cache when one is given."""
     spec = build_spec(scale, routing, bully_load, victim_load, seed)
-    shared = _run(spec)
+    shared = execute_cached(spec, store, use_cache)
     isolated = {
-        job.name: _run(isolated_spec(spec, job.name))
+        job.name: execute_cached(isolated_spec(spec, job.name), store, use_cache)
         for job in spec.workload.jobs
     }
     return RoutingOutcome(
@@ -115,22 +119,17 @@ def run_routing(
     )
 
 
-def _run(spec: RunSpec) -> WorkloadResult:
-    """Resolve one workload point through the installed orchestration
-    context's store (sidecar cache), if it has one."""
-    orchestrator = current_orchestrator()
-    return execute_cached(spec, orchestrator.store, orchestrator.use_cache)
-
-
 def run(
     scale: Scale,
     routings: tuple[str, ...] = ROUTINGS,
     bully_load: float = 0.7,
     victim_load: float = 0.2,
     seed: int = 7,
+    store: ResultStore | None = None,
+    use_cache: bool = True,
 ) -> list[RoutingOutcome]:
     return [
-        run_routing(scale, routing, bully_load, victim_load, seed)
+        run_routing(scale, routing, bully_load, victim_load, seed, store, use_cache)
         for routing in routings
     ]
 
@@ -177,7 +176,7 @@ def verdict(outcomes: list[RoutingOutcome]) -> str:
 
 
 if __name__ == "__main__":
-    scale = cli_scale(__doc__)
+    scale = scale_from_cli(__doc__)
     outcomes = run(scale)
     print(points_table(scale, outcomes).to_text())
     print(slowdown_table(scale, outcomes).to_text())

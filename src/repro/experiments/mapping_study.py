@@ -26,7 +26,7 @@ import random
 from repro.analysis.results import Table
 from repro.engine.runner import _pattern_rng
 from repro.engine.simulator import Simulator
-from repro.experiments.common import Scale, cli_scale
+from repro.experiments.common import Scale, scale_from_cli
 from repro.traffic.applications import StencilPattern
 from repro.traffic.generators import BernoulliTraffic
 
@@ -70,4 +70,4 @@ def run(scale: Scale, load: float = 0.5, dims: tuple[int, ...] | None = None) ->
 
 
 if __name__ == "__main__":
-    print(run(cli_scale(__doc__)).to_text())
+    print(run(scale_from_cli(__doc__)).to_text())

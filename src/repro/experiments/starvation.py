@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.analysis.results import Table
 from repro.engine.runner import _pattern_rng
 from repro.engine.simulator import Simulator
-from repro.experiments.common import Scale, cli_scale
+from repro.experiments.common import Scale, scale_from_cli
 from repro.traffic.generators import BernoulliTraffic
 from repro.traffic.patterns import make_pattern
 
@@ -65,4 +65,4 @@ def run(scale: Scale, loads: list[float] | None = None) -> Table:
 
 
 if __name__ == "__main__":
-    print(run(cli_scale(__doc__)).to_text())
+    print(run(scale_from_cli(__doc__)).to_text())

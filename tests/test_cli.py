@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+CAMPAIGNS = Path(__file__).resolve().parent.parent / "campaigns"
 
 
 class TestParser:
@@ -22,7 +26,15 @@ class TestParser:
 
     def test_figure_scale_choices(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig5", "--scale", "galactic"])
+            build_parser().parse_args(
+                ["campaign", "run", "campaigns/fig5.yaml", "--scale", "galactic"]
+            )
+
+    def test_figure_and_offsets_commands_are_gone(self):
+        # A figure is a campaign file; there is no second entry point.
+        for command in ("figure", "offsets"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "fig5"])
 
 
 class TestCommands:
@@ -76,13 +88,18 @@ class TestCommands:
         assert csv_path.read_text().startswith("cycle,window,")
 
     def test_unknown_figure(self):
-        with pytest.raises(SystemExit, match="unknown figure"):
-            main(["figure", "fig99", "--scale", "tiny"])
+        with pytest.raises(SystemExit, match="campaign error: campaign file not found"):
+            main(["campaign", "run", str(CAMPAIGNS / "fig99.yaml"), "--scale", "tiny"])
 
     def test_figure_fig2_tiny(self, capsys):
-        main(["figure", "fig2", "--scale", "tiny"])
+        # The checked-in offset list used to die on ADV+9 at h=2; the
+        # h-relative shorthand serves every scale.
+        main(["campaign", "run", str(CAMPAIGNS / "fig2.yaml"), "--scale", "tiny"])
         out = capsys.readouterr().out
-        assert "Fig 2b" in out
+        assert "[campaign fig2] 6 points: 6 run, 0 cached, 0 failed" in out
+        header = next(line for line in out.splitlines() if line.startswith("offset"))
+        assert {"worst_case", "concentration", "l2_bound", "predicted",
+                "throughput"} <= set(header.split())
 
     def test_fabric_status_reports_no_fleet_activity(self, capsys, tmp_path):
         import json
