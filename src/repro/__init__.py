@@ -25,58 +25,27 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
 """
 
-from repro.engine.backend import (
-    EngineBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.engine.config import SimulationConfig, ThresholdConfig
-from repro.engine.metrics import LoadPoint, Metrics
-from repro.engine.runner import (
-    BurstResult,
-    TransientResult,
-    build_steady_sim,
-    run_burst,
-    run_load_sweep,
-    run_spec,
-    run_transient,
-    run_transient_forked,
-)
-from repro.engine.runspec import RunSpec
-from repro.engine.simulator import DeadlockError, Simulator
-from repro.network.network import Network
-from repro.snapshot import Snapshot
-from repro.topology.dragonfly import Dragonfly
-from repro.topology.hamiltonian import HamiltonianRing
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimulationConfig",
-    "ThresholdConfig",
-    "LoadPoint",
-    "Metrics",
-    "RunSpec",
-    "Simulator",
-    "DeadlockError",
-    "EngineBackend",
-    "Network",
-    "Dragonfly",
-    "HamiltonianRing",
-    "Snapshot",
-    "available_backends",
-    "build_steady_sim",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "run_spec",
-    "run_load_sweep",
-    "run_transient",
-    "run_transient_forked",
-    "run_burst",
-    "TransientResult",
-    "BurstResult",
-    "__version__",
-]
+_EXPORTS = {
+    "engine.backend": (
+        "EngineBackend", "available_backends", "get_backend", "register_backend",
+        "resolve_backend",
+    ),
+    "engine.config": ("SimulationConfig", "ThresholdConfig"),
+    "engine.metrics": ("LoadPoint", "Metrics"),
+    "engine.runner": (
+        "BurstResult", "TransientResult", "build_steady_sim", "run_burst",
+        "run_load_sweep", "run_spec", "run_transient", "run_transient_forked",
+    ),
+    "engine.runspec": ("RunSpec",),
+    "engine.simulator": ("DeadlockError", "Simulator"),
+    "network.network": ("Network",),
+    "snapshot": ("Snapshot",),
+    "topology.dragonfly": ("Dragonfly",),
+    "topology.hamiltonian": ("HamiltonianRing",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
+__all__ += ["__version__"]

@@ -15,44 +15,21 @@
   CSV/markdown emission for the campaign emitters and studies.
 """
 
-from repro.analysis.bounds import (
-    min_adversarial_bound,
-    valiant_bound,
-    local_link_advh_bound,
-    ring_added_link_fraction,
-    ring_added_global_wires,
-    original_global_wires,
-    max_edge_disjoint_rings,
-)
-from repro.analysis.offsets import (
-    l2_link_concentration,
-    max_l2_concentration,
-    valiant_offset_bound,
-    offset_bound_table,
-)
-from repro.analysis.results import Series, Table
-from repro.analysis.static_load import analyze, predicted_saturation, StaticLoadReport
-from repro.analysis.latency_model import LatencyModel
-from repro.analysis.linkstats import LinkMonitor, LinkStats
+from repro._exports import lazy_exports
 
-__all__ = [
-    "analyze",
-    "predicted_saturation",
-    "StaticLoadReport",
-    "LatencyModel",
-    "LinkMonitor",
-    "LinkStats",
-    "min_adversarial_bound",
-    "valiant_bound",
-    "local_link_advh_bound",
-    "ring_added_link_fraction",
-    "ring_added_global_wires",
-    "original_global_wires",
-    "max_edge_disjoint_rings",
-    "l2_link_concentration",
-    "max_l2_concentration",
-    "valiant_offset_bound",
-    "offset_bound_table",
-    "Series",
-    "Table",
-]
+_EXPORTS = {
+    "bounds": (
+        "min_adversarial_bound", "valiant_bound", "local_link_advh_bound",
+        "ring_added_link_fraction", "ring_added_global_wires", "original_global_wires",
+        "max_edge_disjoint_rings",
+    ),
+    "offsets": (
+        "l2_link_concentration", "max_l2_concentration", "valiant_offset_bound",
+        "offset_bound_table",
+    ),
+    "results": ("Series", "Table"),
+    "static_load": ("analyze", "predicted_saturation", "StaticLoadReport"),
+    "latency_model": ("LatencyModel",),
+    "linkstats": ("LinkMonitor", "LinkStats"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -14,41 +14,17 @@ See ``campaigns/`` for the checked-in paper-reproduction campaigns and
 ``docs/experiments-guide.md`` ("Campaigns") for the format reference.
 """
 
-from repro.campaign.aggregate import mean_ci, t_critical
-from repro.campaign.runner import (
-    EMITTERS,
-    CampaignRun,
-    emit,
-    run_campaign,
-    run_campaign_fabric,
-    validate_post,
-)
-from repro.campaign.spec import (
-    BurstPoint,
-    CampaignError,
-    CampaignPoint,
-    CampaignSpec,
-    TransientPoint,
-    deep_merge,
-    load_campaign,
-    load_mapping,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EMITTERS",
-    "BurstPoint",
-    "CampaignError",
-    "CampaignPoint",
-    "CampaignRun",
-    "CampaignSpec",
-    "TransientPoint",
-    "deep_merge",
-    "emit",
-    "load_campaign",
-    "load_mapping",
-    "mean_ci",
-    "run_campaign",
-    "run_campaign_fabric",
-    "t_critical",
-    "validate_post",
-]
+_EXPORTS = {
+    "aggregate": ("mean_ci", "t_critical"),
+    "runner": (
+        "EMITTERS", "CampaignRun", "emit", "run_campaign", "run_campaign_fabric",
+        "validate_post",
+    ),
+    "spec": (
+        "BurstPoint", "CampaignError", "CampaignPoint", "CampaignSpec",
+        "TransientPoint", "deep_merge", "load_campaign", "load_mapping",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

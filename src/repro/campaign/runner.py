@@ -29,7 +29,6 @@ from repro.campaign.spec import (
     CampaignSpec,
 )
 from repro.engine.orchestrator import Orchestrator, summarize
-from repro.engine.runner import run_burst, run_transient
 
 
 @dataclass
@@ -90,6 +89,8 @@ def _run_in_process(
     campaign: CampaignSpec, points: list[CampaignPoint], o: Orchestrator | None
 ) -> CampaignRun:
     """Run a transient or burst campaign's points right here."""
+    from repro.engine.runner import run_burst, run_transient
+
     if o is not None and (o.workers or o.store is not None
                           or o.timeout is not None or o.telemetry is not None):
         raise CampaignError(

@@ -49,19 +49,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.bounds import (
-    local_link_advh_bound,
-    min_adversarial_bound,
-    ring_added_global_fraction,
-    ring_added_link_fraction,
-    valiant_bound,
-)
 from repro.analysis.results import Table
 from repro.analysis.store import ResultStore
 from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig
 from repro.engine.orchestrator import summarize
-from repro.engine.runner import run_burst, run_transient
 from repro.engine.runspec import RunSpec
 from repro.experiments.common import (
     DEFAULT_STORE,
@@ -70,7 +62,6 @@ from repro.experiments.common import (
     orchestration_options,
     orchestrator_from_args,
 )
-from repro.topology.dragonfly import Dragonfly
 
 
 def _config(args, routing: str | None = None) -> SimulationConfig:
@@ -81,6 +72,15 @@ def _config(args, routing: str | None = None) -> SimulationConfig:
 
 
 def cmd_info(args) -> None:
+    from repro.analysis.bounds import (
+        local_link_advh_bound,
+        min_adversarial_bound,
+        ring_added_global_fraction,
+        ring_added_link_fraction,
+        valiant_bound,
+    )
+    from repro.topology.dragonfly import Dragonfly
+
     topo = Dragonfly(args.h)
     print(topo)
     print(f"  groups            : {topo.num_groups}")
@@ -143,6 +143,8 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_transient(args) -> None:
+    from repro.engine.runner import run_transient
+
     cfg = _config(args)
     result = run_transient(
         cfg, args.before, args.after, args.load,
@@ -159,6 +161,7 @@ def cmd_transient(args) -> None:
 
 def cmd_telemetry(args) -> None:
     from repro.analysis import heatmap
+    from repro.engine.runner import run_transient
     from repro.telemetry import TelemetryConfig
 
     cfg = _config(args)
@@ -199,6 +202,8 @@ def cmd_telemetry(args) -> None:
 
 
 def cmd_burst(args) -> None:
+    from repro.engine.runner import run_burst
+
     cfg = _config(args)
     res = run_burst(cfg, args.pattern, args.packets)
     print(f"{args.routing} on {args.pattern}: {res.total_packets} packets "
@@ -323,6 +328,7 @@ def _load_scenario_or_exit(path: str):
 def cmd_scenario_schedule(args) -> None:
     """Compile the scenario (no network simulation) and print the plan."""
     from repro.cluster.schedule import compile_scenario
+    from repro.topology.dragonfly import Dragonfly
 
     scenario = _load_scenario_or_exit(args.file)
     topo = Dragonfly(args.h)
@@ -631,6 +637,8 @@ def cmd_fabric_reap(args) -> None:
 
 def cmd_store_verify(args) -> None:
     store = ResultStore(args.dir)
+    if not store.root.is_dir():
+        raise SystemExit(f"no store at {store.root}")
     total = sum(
         1 for kind in store.entry_kinds()
         for _ in (store.root / kind).glob("*/*.json")

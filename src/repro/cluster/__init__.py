@@ -17,49 +17,14 @@ on:
   :class:`ScenarioResult` through the result-store sidecar API.
 """
 
-from repro.cluster.schedule import (
-    SCHEDULERS,
-    CompiledScenario,
-    Scheduler,
-    compile_scenario,
-    register_scheduler,
-)
-from repro.cluster.spec import (
-    ArrivalSpec,
-    FaultEvent,
-    FaultScheduleSpec,
-    JobMix,
-    ScenarioSpec,
-)
+from repro._exports import lazy_exports
 
-# The runner pulls in the engine run layer, which itself imports
-# repro.cluster.spec (RunSpec embeds a ScenarioSpec) — resolve the cycle
-# by loading the execution layer on first attribute access.
-_RUNNER_EXPORTS = (
-    "ScenarioResult",
-    "run_scenario",
-)
-
-
-def __getattr__(name: str):
-    if name in _RUNNER_EXPORTS:
-        from repro.cluster import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ArrivalSpec",
-    "CompiledScenario",
-    "FaultEvent",
-    "FaultScheduleSpec",
-    "JobMix",
-    "SCHEDULERS",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "Scheduler",
-    "compile_scenario",
-    "register_scheduler",
-    "run_scenario",
-]
+_EXPORTS = {
+    "schedule": (
+        "SCHEDULERS", "CompiledScenario", "Scheduler", "compile_scenario",
+        "register_scheduler",
+    ),
+    "spec": ("ArrivalSpec", "FaultEvent", "FaultScheduleSpec", "JobMix", "ScenarioSpec"),
+    "runner": ("ScenarioResult", "run_scenario"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -9,6 +9,7 @@
   ring topology in :class:`~repro.topology.hamiltonian.HamiltonianRing`.
 """
 
-from repro.core.ofar import OFARRouting
+from repro._exports import lazy_exports
 
-__all__ = ["OFARRouting"]
+_EXPORTS = {"ofar": ("OFARRouting",)}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -1,49 +1,18 @@
 """Simulation engine: configuration, the single-cycle loop, metrics and
 experiment runners (steady-state load sweeps, transients, bursts)."""
 
-from repro.engine.config import SimulationConfig, ThresholdConfig
-from repro.engine.metrics import Metrics, LoadPoint
-from repro.engine.runspec import RunSpec
-from repro.engine.simulator import Simulator, DeadlockError
-from repro.engine.backend import (
-    EngineBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-)
-from repro.engine.runner import (
-    build_steady_sim,
-    run_spec,
-    run_load_sweep,
-    run_transient,
-    run_burst,
-)
-from repro.engine.orchestrator import Orchestrator, OrchestratorError, PointResult
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SimulationConfig",
-    "ThresholdConfig",
-    "Metrics",
-    "LoadPoint",
-    "RunSpec",
-    "Simulator",
-    "DeadlockError",
-    "EngineBackend",
-    "Orchestrator",
-    "OrchestratorError",
-    "PointResult",
-    "available_backends",
-    "build_steady_sim",
-    "default_backend",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
-    "run_spec",
-    "run_load_sweep",
-    "run_transient",
-    "run_burst",
-]
+_EXPORTS = {
+    "config": ("SimulationConfig", "ThresholdConfig"),
+    "metrics": ("Metrics", "LoadPoint"),
+    "runspec": ("RunSpec",),
+    "simulator": ("Simulator", "DeadlockError"),
+    "backend": (
+        "EngineBackend", "available_backends", "default_backend", "get_backend",
+        "register_backend", "resolve_backend", "set_default_backend",
+    ),
+    "runner": ("build_steady_sim", "run_spec", "run_load_sweep", "run_transient", "run_burst"),
+    "orchestrator": ("Orchestrator", "OrchestratorError", "PointResult"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -117,6 +117,22 @@ def kind_of(spec: RunSpec) -> PointKind:
     return STEADY
 
 
+def preload(specs: list[RunSpec]) -> None:
+    """Import everything executing ``specs`` needs — engine backend,
+    point kind, simulator, network, routing, traffic and the numpy RNG
+    the traffic generators draw from — without running anything.
+
+    The pool calls this right before forking its children, so they
+    inherit the stack instead of each importing it on its first point.
+    """
+    import numpy.random  # noqa: F401 - numpy loads it on the first draw
+    from repro.engine import runner  # noqa: F401
+
+    for spec in specs:
+        resolve_backend(spec)
+        kind_of(spec)
+
+
 def build_sim(spec: RunSpec) -> "Simulator":
     """Fresh simulator + generator for ``spec``, whatever its kind."""
     return kind_of(spec).build(spec)[0]
@@ -285,6 +301,7 @@ __all__ = [
     "execute_outcome",
     "execute_point",
     "kind_of",
+    "preload",
     "run_to",
     "windows_agree",
 ]

@@ -18,7 +18,7 @@ an arbitrary grid with the properties a long sweep needs:
   as failed and the rest of the grid completes; a poisoned point is
   never fatal to the sweep.
 - **observability** — after every resolved point the orchestrator emits
-  a :class:`~repro.engine.tracing.SweepProgress` snapshot
+  a :class:`~repro.engine.progress.SweepProgress` snapshot
   (done/cached/failed, rate, ETA, per-point wall time) to the installed
   observer.  With a ``telemetry`` config, points additionally record an
   in-run time series (:mod:`repro.telemetry`) persisted next to the
@@ -35,21 +35,22 @@ count, retries and cache hits cannot change a LoadPoint.
 from __future__ import annotations
 
 import functools
-import multiprocessing as mp
 import os
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _wait_connections
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.store import ResultStore
-from repro.engine.execute import execute_point
+from repro.engine.execute import execute_point, preload
 from repro.engine.metrics import LoadPoint
 from repro.engine.runspec import RunSpec
-from repro.engine.tracing import ProgressObserver, SweepProgress
+from repro.engine.progress import ProgressObserver, SweepProgress
+
+if TYPE_CHECKING:  # pragma: no cover
+    import multiprocessing
 
 STATUS_DONE = "done"
 STATUS_CACHED = "cached"
@@ -142,7 +143,7 @@ def _worker_main(conn, worker, specs) -> None:
 class _Worker:
     """One pool process and the point attempt it holds."""
 
-    proc: mp.Process
+    proc: multiprocessing.Process
     conn: object  # parent end of the duplex pipe
     index: int = -1  # spec index of the held point
     attempt: int = 0
@@ -181,7 +182,7 @@ class Orchestrator:
         Per-point wall-clock limit in seconds (process mode only; a
         stuck worker is killed and the attempt counted as failed).
     observer:
-        Progress callback; see :class:`~repro.engine.tracing.SweepProgress`.
+        Progress callback; see :class:`~repro.engine.progress.SweepProgress`.
     worker:
         The per-point callable ``(RunSpec) -> LoadPoint``.  Must be a
         module-level (picklable) function; the default is
@@ -355,6 +356,11 @@ class Orchestrator:
     # Process-pool mode: persistent workers fed spec indices over pipes
     # ------------------------------------------------------------------
     def _run_pool(self, grid: _Grid) -> None:
+        from multiprocessing.connection import wait
+
+        # Children fork from this process: load the simulator stack once
+        # here rather than once per child on its first point.
+        preload([grid.specs[index] for index, _ in grid.pending])
         pending = grid.pending
         idle: list[_Worker] = []
         busy: dict[object, _Worker] = {}  # conn -> worker
@@ -373,7 +379,7 @@ class Orchestrator:
                         pass  # died while idle: reads as EOF below
 
                 poll = _POLL_SECONDS if self.timeout is not None else None
-                for conn in _wait_connections(list(busy), timeout=poll):
+                for conn in wait(list(busy), timeout=poll):
                     w = busy[conn]
                     try:
                         kind, payload = conn.recv()
@@ -407,6 +413,8 @@ class Orchestrator:
                 self._kill(w)
 
     def _start_worker(self, specs: list[RunSpec]) -> _Worker:
+        import multiprocessing as mp
+
         # Under fork the child inherits ``specs`` and ``self.worker``;
         # the pipe only ever carries an index one way, a result the other.
         parent_conn, child_conn = mp.Pipe()

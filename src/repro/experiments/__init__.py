@@ -18,6 +18,7 @@ Scales: ``tiny`` (h=2, seconds, used by the test suite), ``small``
 provided for offline full-scale runs).
 """
 
-from repro.experiments.common import Scale, TINY, SMALL, MEDIUM, PAPER, get_scale
+from repro._exports import lazy_exports
 
-__all__ = ["Scale", "TINY", "SMALL", "MEDIUM", "PAPER", "get_scale"]
+_EXPORTS = {"common": ("Scale", "TINY", "SMALL", "MEDIUM", "PAPER", "get_scale")}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

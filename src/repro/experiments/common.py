@@ -230,7 +230,7 @@ def fabric_options_from_args(args: argparse.Namespace):
     pair for the long-lived ``repro fabric work`` command).
     """
     from repro.analysis.store import ResultStore
-    from repro.engine.tracing import ConsoleProgress
+    from repro.engine.progress import ConsoleProgress
     from repro.telemetry.config import TelemetryConfig
 
     if args.workers is not None:
@@ -299,7 +299,7 @@ def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator:
     CLI — carries it.
     """
     from repro.analysis.store import ResultStore
-    from repro.engine.tracing import ConsoleProgress
+    from repro.engine.progress import ConsoleProgress
 
     from repro.telemetry.config import TelemetryConfig
 

@@ -32,7 +32,7 @@ NFS-style shared filesystem; no coordinator process):
 - :mod:`repro.fabric.worker` — :class:`FabricWorker` loops
   claim -> run (through the orchestrator's own per-point worker path,
   honoring ``--snapshot-every``) -> write result -> release, emitting
-  fleet-aware :class:`~repro.engine.tracing.SweepProgress` snapshots.
+  fleet-aware :class:`~repro.engine.progress.SweepProgress` snapshots.
 
 Deployment story: run ``repro fabric work <campaign> --store <shared>``
 once per host (or ``repro campaign run <campaign> --fabric``); every
@@ -47,40 +47,16 @@ backend seam (:class:`~repro.fabric.lease.LeaseManager` vs
 :class:`~repro.fabric.coordinator.client.HTTPLeaseManager`).
 """
 
-from repro.fabric.lease import (
-    FAILURE_KIND,
-    LEASE_DIR,
-    FabricBackendError,
-    Lease,
-    LeaseManager,
-    lease_path,
-    read_lease,
-)
-from repro.fabric.queue import (
-    Claim,
-    QueueStatus,
-    WorkQueue,
-    affinity_group,
-    fleet_status,
-    reap,
-)
-from repro.fabric.worker import FabricSummary, FabricWorker, drain
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Claim",
-    "FabricBackendError",
-    "FabricSummary",
-    "FabricWorker",
-    "FAILURE_KIND",
-    "LEASE_DIR",
-    "Lease",
-    "LeaseManager",
-    "QueueStatus",
-    "WorkQueue",
-    "affinity_group",
-    "drain",
-    "fleet_status",
-    "lease_path",
-    "read_lease",
-    "reap",
-]
+_EXPORTS = {
+    "lease": (
+        "FAILURE_KIND", "LEASE_DIR", "FabricBackendError", "Lease", "LeaseManager",
+        "lease_path", "read_lease",
+    ),
+    "queue": (
+        "Claim", "QueueStatus", "WorkQueue", "affinity_group", "fleet_status", "reap",
+    ),
+    "worker": ("FabricSummary", "FabricWorker", "drain"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

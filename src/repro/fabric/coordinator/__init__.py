@@ -10,30 +10,13 @@ socket, so :class:`~repro.fabric.queue.WorkQueue` and
 mode with ``--coordinator URL``.
 """
 
-from repro.fabric.coordinator.client import (
-    CoordinatorClient,
-    CoordinatorError,
-    CoordinatorUnreachable,
-    HTTPLeaseManager,
-    RemoteStore,
-    open_coordinator,
-)
-from repro.fabric.coordinator.server import (
-    API_PREFIX,
-    PROTOCOL,
-    FabricCoordinator,
-    serve,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "API_PREFIX",
-    "CoordinatorClient",
-    "CoordinatorError",
-    "CoordinatorUnreachable",
-    "FabricCoordinator",
-    "HTTPLeaseManager",
-    "PROTOCOL",
-    "RemoteStore",
-    "open_coordinator",
-    "serve",
-]
+_EXPORTS = {
+    "client": (
+        "CoordinatorClient", "CoordinatorError", "CoordinatorUnreachable",
+        "HTTPLeaseManager", "RemoteStore", "open_coordinator",
+    ),
+    "server": ("API_PREFIX", "PROTOCOL", "FabricCoordinator", "serve"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -18,7 +18,7 @@ fleet-wide budget is exhausted and the point is recorded as a
 ``failures`` sidecar — a poisoned point costs its budget, never the
 drain.
 
-Progress reporting reuses :class:`~repro.engine.tracing.SweepProgress`
+Progress reporting reuses :class:`~repro.engine.progress.SweepProgress`
 with the fleet fields filled in: after every point this worker resolves
 it re-scans the shared state and emits done/cached/failed counts for
 the *whole fleet*, the live worker count, and the fleet-rate ETA.
@@ -43,7 +43,7 @@ from repro.engine.orchestrator import (
     PointResult,
 )
 from repro.engine.runspec import RunSpec
-from repro.engine.tracing import ProgressObserver, SweepProgress
+from repro.engine.progress import ProgressObserver, SweepProgress
 from repro.fabric.lease import FAILURE_KIND, FabricBackendError, Lease
 from repro.snapshot.checkpoint import Preempted
 from repro.fabric.queue import (

@@ -16,10 +16,13 @@ This package implements the hardware model of §V of the paper:
   the (physical or embedded) escape ring into one simulable network.
 """
 
-from repro.network.packet import Packet
-from repro.network.buffers import Buffer
-from repro.network.arbiter import LRSArbiter
-from repro.network.router import Router, OutputChannel
-from repro.network.network import Network
+from repro._exports import lazy_exports
 
-__all__ = ["Packet", "Buffer", "LRSArbiter", "Router", "OutputChannel", "Network"]
+_EXPORTS = {
+    "packet": ("Packet",),
+    "buffers": ("Buffer",),
+    "arbiter": ("LRSArbiter",),
+    "router": ("Router", "OutputChannel"),
+    "network": ("Network",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

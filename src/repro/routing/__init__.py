@@ -15,49 +15,15 @@ Use :func:`make_routing` to construct the algorithm named by a
 :class:`~repro.engine.config.SimulationConfig`.
 """
 
-from __future__ import annotations
+from repro._exports import lazy_exports
 
-import random
-from typing import TYPE_CHECKING
-
-from repro.routing.base import RoutingAlgorithm
-from repro.routing.minimal import MinimalRouting
-from repro.routing.valiant import ValiantRouting
-from repro.routing.ugal import UGALRouting
-from repro.routing.piggyback import PiggybackRouting
-from repro.routing.par import PARRouting
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.network import Network
-
-__all__ = [
-    "RoutingAlgorithm",
-    "MinimalRouting",
-    "ValiantRouting",
-    "UGALRouting",
-    "PiggybackRouting",
-    "PARRouting",
-    "make_routing",
-]
-
-
-def make_routing(network: "Network", rng: random.Random) -> RoutingAlgorithm:
-    """Instantiate the routing algorithm named in the network's config."""
-    from repro.core.ofar import OFARRouting  # local import: core builds on routing
-
-    name = network.config.routing
-    if name == "min":
-        return MinimalRouting(network, rng)
-    if name == "val":
-        return ValiantRouting(network, rng)
-    if name == "ugal":
-        return UGALRouting(network, rng)
-    if name == "pb":
-        return PiggybackRouting(network, rng)
-    if name == "par":
-        return PARRouting(network, rng)
-    if name == "ofar":
-        return OFARRouting(network, rng, allow_local_misroute=True)
-    if name == "ofar-l":
-        return OFARRouting(network, rng, allow_local_misroute=False)
-    raise ValueError(f"unknown routing {name!r}")
+_EXPORTS = {
+    "base": ("RoutingAlgorithm",),
+    "minimal": ("MinimalRouting",),
+    "valiant": ("ValiantRouting",),
+    "ugal": ("UGALRouting",),
+    "piggyback": ("PiggybackRouting",),
+    "par": ("PARRouting",),
+    "factory": ("make_routing",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -14,25 +14,14 @@ same RNG draws, same LoadPoint bytes.  On top of it:
   determinism divergences to the first differing cycle.
 """
 
-from repro.snapshot.codec import (
-    SNAPSHOT_FORMAT,
-    SnapshotError,
-    apply_state,
-    digest_of,
-    encode_state,
-    state_digest,
-)
-from repro.snapshot.debug import diff_states, first_divergence
-from repro.snapshot.snapshot import Snapshot
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SNAPSHOT_FORMAT",
-    "Snapshot",
-    "SnapshotError",
-    "apply_state",
-    "diff_states",
-    "digest_of",
-    "encode_state",
-    "first_divergence",
-    "state_digest",
-]
+_EXPORTS = {
+    "codec": (
+        "SNAPSHOT_FORMAT", "SnapshotError", "apply_state", "digest_of",
+        "encode_state", "state_digest",
+    ),
+    "debug": ("diff_states", "first_divergence"),
+    "snapshot": ("Snapshot",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -2,7 +2,7 @@
 
 The third observability facility of the run layer (beside the
 event-level :class:`~repro.engine.tracing.Tracer` and the sweep-level
-:class:`~repro.engine.tracing.SweepProgress`): a
+:class:`~repro.engine.progress.SweepProgress`): a
 :class:`~repro.telemetry.sampler.TelemetrySampler` attached to a
 :class:`~repro.engine.simulator.Simulator` snapshots windowed link
 utilization, buffer occupancy, ring pressure, misroute rates and a
@@ -16,36 +16,17 @@ docstrings of :mod:`repro.telemetry.sampler` and
 :mod:`repro.telemetry.config` for the contracts.
 """
 
-from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.export import (
-    SERIES_FORMAT,
-    from_jsonl,
-    read_jsonl,
-    to_csv,
-    to_jsonl,
-    write_csv,
-    write_jsonl,
-)
-from repro.telemetry.sampler import (
-    BufferStats,
-    ClassStats,
-    TelemetrySample,
-    TelemetrySampler,
-    TelemetrySeries,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TelemetryConfig",
-    "TelemetrySampler",
-    "TelemetrySample",
-    "TelemetrySeries",
-    "ClassStats",
-    "BufferStats",
-    "SERIES_FORMAT",
-    "to_jsonl",
-    "from_jsonl",
-    "read_jsonl",
-    "to_csv",
-    "write_jsonl",
-    "write_csv",
-]
+_EXPORTS = {
+    "config": ("TelemetryConfig",),
+    "export": (
+        "SERIES_FORMAT", "from_jsonl", "read_jsonl", "to_csv", "to_jsonl",
+        "write_csv", "write_jsonl",
+    ),
+    "sampler": (
+        "BufferStats", "ClassStats", "TelemetrySample", "TelemetrySampler",
+        "TelemetrySeries",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

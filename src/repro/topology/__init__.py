@@ -12,7 +12,10 @@ provides:
   escape subnetwork (physical or embedded).
 """
 
-from repro.topology.dragonfly import Dragonfly, PortKind
-from repro.topology.hamiltonian import HamiltonianRing
+from repro._exports import lazy_exports
 
-__all__ = ["Dragonfly", "PortKind", "HamiltonianRing"]
+_EXPORTS = {
+    "dragonfly": ("Dragonfly", "PortKind"),
+    "hamiltonian": ("HamiltonianRing",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

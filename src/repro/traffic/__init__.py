@@ -9,54 +9,18 @@ Injection processes: Bernoulli steady traffic at a controlled load,
 transient pattern switches, and fixed-size bursts.
 """
 
-from repro.traffic.patterns import (
-    TrafficPattern,
-    UniformPattern,
-    AdversarialPattern,
-    AdversarialLocalPattern,
-    MixPattern,
-    make_pattern,
-)
-from repro.traffic.generators import (
-    TrafficGenerator,
-    BernoulliTraffic,
-    TransientTraffic,
-    BurstTraffic,
-)
-from repro.traffic.applications import (
-    StencilPattern,
-    ShiftPattern,
-    PermutationPattern,
-    near_square_dims,
-)
-from repro.traffic.trace import (
-    TraceEvent,
-    TraceRecorder,
-    TraceTraffic,
-    load_trace,
-    save_trace,
-    synthesize_phases,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "StencilPattern",
-    "ShiftPattern",
-    "PermutationPattern",
-    "near_square_dims",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceTraffic",
-    "load_trace",
-    "save_trace",
-    "synthesize_phases",
-    "TrafficPattern",
-    "UniformPattern",
-    "AdversarialPattern",
-    "AdversarialLocalPattern",
-    "MixPattern",
-    "make_pattern",
-    "TrafficGenerator",
-    "BernoulliTraffic",
-    "TransientTraffic",
-    "BurstTraffic",
-]
+_EXPORTS = {
+    "patterns": (
+        "TrafficPattern", "UniformPattern", "AdversarialPattern",
+        "AdversarialLocalPattern", "MixPattern", "make_pattern",
+    ),
+    "generators": ("TrafficGenerator", "BernoulliTraffic", "TransientTraffic", "BurstTraffic"),
+    "applications": ("StencilPattern", "ShiftPattern", "PermutationPattern", "near_square_dims"),
+    "trace": (
+        "TraceEvent", "TraceRecorder", "TraceTraffic", "load_trace", "save_trace",
+        "synthesize_phases",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

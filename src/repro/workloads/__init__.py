@@ -1,44 +1,23 @@
 """Multi-job workloads: placement, composition, per-job attribution.
 
 The subsystem splits into an engine-free description/composition layer
-(imported eagerly — :class:`~repro.engine.runspec.RunSpec` embeds a
-:class:`WorkloadSpec`, so these modules must not import the engine
-back) and an execution layer (:mod:`repro.workloads.runner`, exported
-lazily below to keep the import graph acyclic).
+(:class:`~repro.engine.runspec.RunSpec` embeds a :class:`WorkloadSpec`,
+so these modules must not import the engine back) and an execution
+layer (:mod:`repro.workloads.runner`).  Every export is lazy
+(:mod:`repro._exports`), so importing ``repro.workloads.spec`` loads
+neither the composition layer's traffic generators nor the runner.
 """
 
-from repro.workloads.composite import CompositeTraffic, build_job_generator, job_seed
-from repro.workloads.jobpatterns import make_job_pattern
-from repro.workloads.placement import place_jobs
-from repro.workloads.spec import PLACEMENTS, JobSpec, WorkloadSpec
+from repro._exports import lazy_exports
 
-_RUNNER_EXPORTS = {
-    "JobResult",
-    "WorkloadResult",
-    "build_workload_sim",
-    "run_workload",
-    "isolated_spec",
-    "job_slowdowns",
-    "jain_across_jobs",
+_EXPORTS = {
+    "composite": ("CompositeTraffic", "build_job_generator", "job_seed"),
+    "jobpatterns": ("make_job_pattern",),
+    "placement": ("place_jobs",),
+    "spec": ("PLACEMENTS", "JobSpec", "WorkloadSpec"),
+    "runner": (
+        "JobResult", "WorkloadResult", "build_workload_sim", "run_workload",
+        "isolated_spec", "job_slowdowns", "jain_across_jobs",
+    ),
 }
-
-__all__ = [
-    "CompositeTraffic",
-    "JobSpec",
-    "PLACEMENTS",
-    "WorkloadSpec",
-    "build_job_generator",
-    "job_seed",
-    "make_job_pattern",
-    "place_jobs",
-    *sorted(_RUNNER_EXPORTS),
-]
-
-
-def __getattr__(name):
-    # Lazy: runner imports the engine, which imports repro.workloads.spec.
-    if name in _RUNNER_EXPORTS:
-        from repro.workloads import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -117,6 +117,13 @@ class TestCommands:
         assert "no fleet activity: 0 workers, 0 leases" in out
         assert "1 pending" in out
 
+    def test_store_verify_missing_dir_fails(self, tmp_path):
+        # A mistyped path must not pass as a clean, empty store.
+        missing = tmp_path / "no" / "such" / "dir"
+        with pytest.raises(SystemExit, match="no store at"):
+            main(["store", "verify", str(missing)])
+        assert not missing.exists()
+
     def test_fabric_serve_and_watch_parse(self):
         args = build_parser().parse_args(
             ["fabric", "serve", "--port", "9001", "--store", "s"]

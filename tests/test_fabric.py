@@ -29,7 +29,7 @@ from repro.analysis.store import ResultStore
 from repro.engine.config import SimulationConfig
 from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
-from repro.engine.tracing import SweepProgress
+from repro.engine.progress import SweepProgress
 from repro.fabric import (
     FAILURE_KIND,
     FabricWorker,

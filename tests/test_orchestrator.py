@@ -26,7 +26,7 @@ from repro.engine.orchestrator import (
 )
 from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
-from repro.engine.tracing import SweepProgress
+from repro.engine.progress import SweepProgress
 from repro.experiments.common import TINY
 
 # ----------------------------------------------------------------------
