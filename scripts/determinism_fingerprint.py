@@ -13,6 +13,14 @@ bit-for-bit behavior-preserving::
     PYTHONPATH=src python scripts/determinism_fingerprint.py > after.json
     diff before.json after.json
 
+``determinism_fingerprint.reference.json`` next to this script is the
+plain-mode document of the checked-in engine (CI diffs against it; the
+output does not depend on ``PYTHONHASHSEED``).  A change that is meant
+to alter behavior regenerates it::
+
+    PYTHONPATH=src python scripts/determinism_fingerprint.py \\
+        > scripts/determinism_fingerprint.reference.json
+
 ``--orchestrated`` routes every steady-state point through a
 store-backed :class:`~repro.engine.orchestrator.Orchestrator` (process
 pool + content-addressed cache in a temp dir), runs the grid twice —

@@ -166,6 +166,8 @@ class SimulationConfig:
             raise ValueError("OFAR requires an escape subnetwork (physical or embedded)")
         if self.packet_size <= 0:
             raise ValueError("packet_size must be positive")
+        if self.allocator_iterations < 1:
+            raise ValueError("allocator_iterations must be >= 1")
         if self.input_read_ports < 1:
             raise ValueError("input_read_ports must be >= 1")
         if self.ofar_transit_misroute not in ("local-first", "global-first"):

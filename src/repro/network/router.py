@@ -322,7 +322,7 @@ class Router:
         self._in_arbiters: dict[int, LRSArbiter] = {}
         self._out_arbiters: dict[int, LRSArbiter] = {}
         self._claimed_out: set[int] = set()
-        self._matched_in: set[int] = set()
+        self._matched_in: set[tuple[int, int]] = set()
         # (cycle, mean occupancy) memo for congestion-controlled injection.
         self.congestion_cache: tuple[int, float] = (-1, 0.0)
 
@@ -405,9 +405,8 @@ class Router:
         in_bufs = self.in_bufs
         in_busy = self.in_busy
         route = routing.route
-        iterations = self.iterations
         single_read = self.read_ports == 1
-        if len(pending) == 1 and iterations > 0:
+        if len(pending) == 1:
             # Fast path: one waiting head packet means at most one grant
             # and no arbitration, so the whole proposals/winners
             # machinery reduces to a single route call.  (On iteration 2
@@ -435,197 +434,134 @@ class Router:
         matched_vc.clear()
         execute_grant = network.execute_grant
         grants = 0
-        if single_read:
-            # Flattened allocator for the classic one-read-port router.
-            # Stage 1 collects all requests into a flat list while two
-            # int bitmasks watch for input (same in_port twice) and
-            # output (same out_port twice) collisions; when none occur —
-            # the overwhelmingly common case — every request wins its
-            # arbiter trivially and the grants execute in list order,
-            # which equals the winners-dict insertion order of the
-            # classic formulation (each in_port appears once, so
-            # first-appearance order is list order).  On a collision the
-            # iteration falls back to the exact proposals/winners/LRS
-            # machinery, rebuilt from the same list in the same order.
-            checked_ready = 0  # ports whose read slot was tested this cycle
-            ready = 0  # ports whose single read slot is free
-            reqs: list[tuple[int, int, int, int, int]] = []
-            for _ in range(iterations):
-                any_request = False
-                conflict = False
-                stalled = False
-                seen_in = 0
-                seen_out = 0
-                reqs.clear()
-                for key in pending:
-                    if key in matched_vc:
-                        continue
-                    in_port, in_vc = key
-                    bit = 1 << in_port
-                    if not checked_ready & bit:
-                        checked_ready |= bit
-                        if in_busy[in_port][0] <= cycle:
-                            ready |= bit
-                    if not ready & bit:
-                        continue
-                    fifo = in_bufs[in_port][in_vc]._fifo
-                    if not fifo:
-                        continue
-                    req = route(self, in_port, in_vc, fifo[0], cycle)
-                    if req is None:
-                        stalled = True
-                        continue
-                    any_request = True
-                    out_port, out_vc, kind = req
-                    reqs.append((in_port, in_vc, out_port, out_vc, kind))
-                    out_bit = 1 << out_port
-                    if seen_in & bit or seen_out & out_bit:
-                        conflict = True
-                    seen_in |= bit
-                    seen_out |= out_bit
-                if not any_request:
-                    break
-                if not conflict:
-                    for in_port, in_vc, out_port, out_vc, kind in reqs:
-                        claimed_out.add(out_port)
-                        matched_vc.add((in_port, in_vc))
-                        ready &= ~(1 << in_port)
-                        grants += 1
-                        execute_grant(self, in_port, in_vc, out_port, out_vc, kind, cycle)
-                    if stalled:
-                        # A stalled head may become routable after these
-                        # grants (e.g. a relative misroute threshold that
-                        # loosens as the minimal channel drains credits),
-                        # so the next iteration must re-ask it.
-                        continue
-                    # Every unmatched head was granted: the next
-                    # iteration could only walk matched / read-busy /
-                    # empty entries and break with no requests — skip it.
-                    break
-                # Collision: run the separable stages over the same
-                # requests (identical proposal order, arbiters, grants).
-                proposals: dict[int, list[tuple[int, int, int, int]]] = {}
-                for in_port, in_vc, out_port, out_vc, kind in reqs:
-                    entry = (in_vc, out_port, out_vc, kind)
-                    lst = proposals.get(in_port)
-                    if lst is None:
-                        proposals[in_port] = [entry]
-                    else:
-                        lst.append(entry)
-                winners: dict[int, list[tuple[int, int, int, int]]] = {}
-                for in_port, in_reqs in proposals.items():
-                    if len(in_reqs) == 1:
-                        pick = in_reqs[0]
-                    else:
-                        arb = self._in_arbiters.get(in_port)
-                        if arb is None:
-                            arb = self._in_arbiters[in_port] = LRSArbiter()
-                        vc_pick = arb.grant([r[0] for r in in_reqs])
-                        pick = next(r for r in in_reqs if r[0] == vc_pick)
-                    entry = (in_port, pick[0], pick[2], pick[3])
-                    lst = winners.get(pick[1])
-                    if lst is None:
-                        winners[pick[1]] = [entry]
-                    else:
-                        lst.append(entry)
-                for out_port, cands in winners.items():
-                    if out_port in claimed_out:
-                        continue
-                    if len(cands) == 1:
-                        in_port, in_vc, out_vc, kind = cands[0]
-                    else:
-                        arb = self._out_arbiters.get(out_port)
-                        if arb is None:
-                            arb = self._out_arbiters[out_port] = LRSArbiter()
-                        key = arb.grant([c[0] for c in cands])
-                        in_port, in_vc, out_vc, kind = next(
-                            c for c in cands if c[0] == key
-                        )
-                    claimed_out.add(out_port)
-                    matched_vc.add((in_port, in_vc))
-                    ready &= ~(1 << in_port)
-                    grants += 1
-                    execute_grant(self, in_port, in_vc, out_port, out_vc, kind, cycle)
-            claimed_out.clear()
-            matched_vc.clear()
-            return grants
-        # Multi-read-port general path (§VIII extension): per-port read
-        # budgets need counting, so keep the classic dict formulation.
-        # Per-port read budget this cycle (a port may launch one
-        # transfer per free read slot).
+        # Read budget: bit p of ``ready`` is set while input port p can
+        # still start a transfer this cycle.  It is computed the first
+        # time the port is seen; with several read ports ``reads_left``
+        # counts the port's free slots down, one per grant.
+        checked = 0  # ports whose read budget was computed this cycle
+        ready = 0
         reads_left: dict[int, int] = {}
-        reads_get = reads_left.get
-        for _ in range(iterations):
-            # Stage 1 — input arbitration: each input port with a free
-            # read slot proposes at most one (vc, request) among its
-            # head packets that found a usable output this iteration.
-            proposals: dict[int, list[tuple[int, int, int, int]]] = {}
-            any_request = False
+        reqs: list[tuple[int, int, int, int, int]] = []
+        for _ in range(self.iterations):
+            # Stage 1 collects every request into a flat list while two
+            # int bitmasks watch for input (same in_port twice) and
+            # output (same out_port twice) collisions.  Without one — the
+            # overwhelmingly common case — every request wins both
+            # arbiters trivially, so the requests are the winners, in
+            # order; with one, _arbitrate runs the separable stages over
+            # the same list.
+            conflict = False
+            stalled = False
+            seen_in = 0
+            seen_out = 0
+            reqs.clear()
             for key in pending:
                 if key in matched_vc:
                     continue
                 in_port, in_vc = key
-                left = reads_get(in_port)
-                if left is None:
+                bit = 1 << in_port
+                if not checked & bit:
+                    checked |= bit
                     if single_read:
-                        left = 1 if in_busy[in_port][0] <= cycle else 0
+                        if in_busy[in_port][0] <= cycle:
+                            ready |= bit
                     else:
                         left = self.free_read_slots(in_port, cycle)
-                    reads_left[in_port] = left
-                if left <= 0:
+                        if left:
+                            ready |= bit
+                            reads_left[in_port] = left
+                if not ready & bit:
                     continue
                 fifo = in_bufs[in_port][in_vc]._fifo
                 if not fifo:
                     continue
                 req = route(self, in_port, in_vc, fifo[0], cycle)
                 if req is None:
+                    stalled = True
                     continue
-                any_request = True
-                lst = proposals.get(in_port)
-                entry = (in_vc, req[0], req[1], req[2])
-                if lst is None:
-                    proposals[in_port] = [entry]
-                else:
-                    lst.append(entry)
-            if not any_request:
+                out_port, out_vc, kind = req
+                reqs.append((in_port, in_vc, out_port, out_vc, kind))
+                out_bit = 1 << out_port
+                if seen_in & bit or seen_out & out_bit:
+                    conflict = True
+                seen_in |= bit
+                seen_out |= out_bit
+            if not reqs:
                 break
-            # Input stage: LRS among the requesting VCs of each port.
-            winners: dict[int, list[tuple[int, int, int, int]]] = {}
-            for in_port, reqs in proposals.items():
-                if len(reqs) == 1:
-                    pick = reqs[0]
-                else:
-                    arb = self._in_arbiters.get(in_port)
-                    if arb is None:
-                        arb = self._in_arbiters[in_port] = LRSArbiter()
-                    vc_pick = arb.grant([r[0] for r in reqs])
-                    pick = next(r for r in reqs if r[0] == vc_pick)
-                entry = (in_port, pick[0], pick[2], pick[3])
-                lst = winners.get(pick[1])
-                if lst is None:
-                    winners[pick[1]] = [entry]
-                else:
-                    lst.append(entry)
-            # Stage 2 — output arbitration: LRS among proposing inputs.
-            for out_port, cands in winners.items():
-                if out_port in claimed_out:
-                    continue
-                if len(cands) == 1:
-                    in_port, in_vc, out_vc, kind = cands[0]
-                else:
-                    arb = self._out_arbiters.get(out_port)
-                    if arb is None:
-                        arb = self._out_arbiters[out_port] = LRSArbiter()
-                    key = arb.grant([c[0] for c in cands])
-                    in_port, in_vc, out_vc, kind = next(c for c in cands if c[0] == key)
+            winners = self._arbitrate(reqs) if conflict else reqs
+            for in_port, in_vc, out_port, out_vc, kind in winners:
                 claimed_out.add(out_port)
                 matched_vc.add((in_port, in_vc))
-                reads_left[in_port] -= 1
+                if single_read:
+                    ready &= ~(1 << in_port)
+                else:
+                    left = reads_left[in_port] - 1
+                    reads_left[in_port] = left
+                    if not left:
+                        ready &= ~(1 << in_port)
                 grants += 1
                 execute_grant(self, in_port, in_vc, out_port, out_vc, kind, cycle)
+            if not conflict and not stalled:
+                # Every unmatched head was granted: the next iteration
+                # could only walk matched / read-busy / empty entries and
+                # break with no requests — skip it.  (A stalled head may
+                # become routable after these grants, e.g. a relative
+                # misroute threshold that loosens as the minimal channel
+                # drains credits, so then the next iteration re-asks it.)
+                break
         claimed_out.clear()
         matched_vc.clear()
         return grants
 
+    def _arbitrate(
+        self, reqs: list[tuple[int, int, int, int, int]]
+    ) -> list[tuple[int, int, int, int, int]]:
+        """The separable stages over one iteration's colliding requests.
+
+        Input stage: each input port picks one of its requesting VCs.
+        Output stage: each output port not claimed by an earlier
+        iteration picks one of the inputs whose pick targets it.  Both
+        stages use LRS arbiters, consulted only when there is more than
+        one candidate.  Returns the winning ``(in_port, in_vc, out_port,
+        out_vc, kind)`` requests in grant order (first appearance of the
+        output port).  Granting the winners touches neither the arbiters
+        nor ``_claimed_out``, so the caller may execute them afterwards.
+        """
+        proposals: dict[int, list[tuple[int, int, int, int]]] = {}
+        for in_port, in_vc, out_port, out_vc, kind in reqs:
+            proposals.setdefault(in_port, []).append((in_vc, out_port, out_vc, kind))
+        candidates: dict[int, list[tuple[int, int, int, int]]] = {}
+        for in_port, vc_reqs in proposals.items():
+            if len(vc_reqs) == 1:
+                in_vc, out_port, out_vc, kind = vc_reqs[0]
+            else:
+                in_vc, out_port, out_vc, kind = _lrs_pick(
+                    self._in_arbiters, in_port, vc_reqs
+                )
+            candidates.setdefault(out_port, []).append((in_port, in_vc, out_vc, kind))
+        claimed_out = self._claimed_out
+        winners = []
+        for out_port, cands in candidates.items():
+            if out_port in claimed_out:
+                continue
+            if len(cands) == 1:
+                in_port, in_vc, out_vc, kind = cands[0]
+            else:
+                in_port, in_vc, out_vc, kind = _lrs_pick(
+                    self._out_arbiters, out_port, cands
+                )
+            winners.append((in_port, in_vc, out_port, out_vc, kind))
+        return winners
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Router(rid={self.rid}, g={self.group}, r={self.index})"
+
+
+def _lrs_pick(arbiters: dict[int, LRSArbiter], key: int, cands: list[tuple]) -> tuple:
+    """The candidate whose first field wins the LRS arbiter ``arbiters[key]``
+    (created on the key's first contention)."""
+    arb = arbiters.get(key)
+    if arb is None:
+        arb = arbiters[key] = LRSArbiter()
+    won = arb.grant([c[0] for c in cands])
+    return next(c for c in cands if c[0] == won)

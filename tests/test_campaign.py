@@ -550,3 +550,15 @@ class TestCampaignCLI:
         path.write_text(json.dumps({"name": "bad"}))
         with pytest.raises(SystemExit, match="campaign error"):
             main(["campaign", "validate", str(path)])
+
+    def test_validate_refuses_a_zero_iteration_allocator(self, tmp_path):
+        """An ``allocator_iterations: 0`` point used to validate, run and
+        write a throughput-0 row into the table."""
+        from repro.cli import main
+
+        path = tmp_path / "iters.json"
+        path.write_text(json.dumps(mapping(combination={
+            "routing": ["ofar"], "allocator_iterations": [0, 3],
+            "pattern": ["UN"], "load": [0.1]})))
+        with pytest.raises(SystemExit, match="bad point config: allocator_iterations"):
+            main(["campaign", "validate", str(path)])

@@ -56,6 +56,13 @@ class TestConfigValidation:
         # MIN only needs 2 local / 1 global.
         SimulationConfig(routing="min", local_vcs=2, global_vcs=1, escape="none")
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_allocator_needs_an_iteration(self, iterations):
+        """Without one no router ever grants: the point used to run and
+        report throughput 0.0 and latency NaN instead of failing."""
+        with pytest.raises(ValueError, match="allocator_iterations"):
+            SimulationConfig.small(h=2, allocator_iterations=iterations)
+
     def test_ofar_allows_reduced_vcs(self):
         """The Fig. 9 configuration must be constructible."""
         cfg = SimulationConfig(

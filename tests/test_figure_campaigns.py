@@ -6,7 +6,9 @@ the last commit that had them (0523a43): per figure and scale, the
 ordered spec fingerprints the driver resolved, and for the two
 in-process figures (Fig. 6, Fig. 7) the ``tiny`` rows it emitted.  A
 campaign that stops expanding to those points, in that order, has
-changed the figure.
+changed the figure.  The ``router_design`` and ``ablation_iterations``
+``tiny`` rows pin the allocator paths no other campaign runs (several
+read ports, iteration counts other than 3).
 
 The rest pins what the files lean on: the ``variant`` axis, the
 ``adv_offsets`` pattern shorthand, ``kind: burst``, the emitters'
@@ -74,6 +76,49 @@ FIG7_TINY_ROWS = [
     ("MIX3", 215, 1.112, 1.0, 0.749, 0.842),
 ]
 
+# The only checked-in runs of the multi-read-port allocator and of
+# allocator_iterations != 3 (recorded at 1daf3d2).
+POINT_COLUMNS = ("throughput", "latency", "net_latency", "hops", "p50", "p99",
+                 "ring_frac", "mis_local", "mis_global", "jain", "worst_src", "packets")
+ROUTER_DESIGN_COLUMNS = ("routing", "variant", "pattern", "load", *POINT_COLUMNS)
+ROUTER_DESIGN_TINY_ROWS = [
+    ("ofar", "classic-3vc", "UN", 0.25, 0.2544, 50.8, 49.8, 2.91, 48, 104, 0.0, 0.296, 0.191, 0.9146, 0.4716, 916),
+    ("ofar", "classic-3vc", "UN", 0.45, 0.4475, 71.4, 68.5, 3.44, 72, 152, 0.0, 0.513, 0.384, 0.9433, 0.581, 1611),
+    ("ofar", "classic-3vc", "ADV+2", 0.25, 0.2553, 70.7, 69.7, 4.19, 72, 136, 0.0, 0.633, 0.605, 0.9196, 0.5484, 919),
+    ("ofar", "classic-3vc", "ADV+2", 0.45, 0.4289, 118.2, 115.2, 4.43, 112, 264, 0.0298, 0.736, 0.735, 0.9475, 0.4197, 1544),
+    ("ofar", "lean-1R", "UN", 0.25, 0.2558, 50.5, 49.4, 2.9, 48, 104, 0.0, 0.282, 0.194, 0.9159, 0.4691, 921),
+    ("ofar", "lean-1R", "UN", 0.45, 0.4506, 72.9, 70.0, 3.3, 72, 164, 0.0, 0.449, 0.345, 0.951, 0.4883, 1622),
+    ("ofar", "lean-1R", "ADV+2", 0.25, 0.2564, 71.0, 70.0, 4.19, 72, 132, 0.0, 0.652, 0.615, 0.9173, 0.468, 923),
+    ("ofar", "lean-1R", "ADV+2", 0.45, 0.3964, 150.7, 147.7, 4.54, 144, 344, 0.0687, 0.759, 0.748, 0.9585, 0.5046, 1427),
+    ("ofar", "lean-2R", "UN", 0.25, 0.2556, 49.5, 48.4, 2.88, 48, 104, 0.0, 0.278, 0.179, 0.9157, 0.4696, 920),
+    ("ofar", "lean-2R", "UN", 0.45, 0.4469, 67.5, 64.7, 3.54, 68, 136, 0.0, 0.564, 0.421, 0.9481, 0.537, 1609),
+    ("ofar", "lean-2R", "ADV+2", 0.25, 0.2558, 68.9, 67.8, 4.2, 68, 128, 0.0, 0.65, 0.608, 0.9219, 0.5472, 921),
+    ("ofar", "lean-2R", "ADV+2", 0.45, 0.4369, 101.4, 98.4, 4.47, 100, 208, 0.0064, 0.816, 0.734, 0.9491, 0.412, 1573),
+    ("ofar", "lean-3R", "UN", 0.25, 0.2542, 50.0, 48.9, 2.91, 48, 104, 0.0, 0.295, 0.186, 0.9161, 0.4721, 915),
+    ("ofar", "lean-3R", "UN", 0.45, 0.4503, 67.5, 64.6, 3.55, 68, 140, 0.0, 0.588, 0.413, 0.9516, 0.533, 1621),
+    ("ofar", "lean-3R", "ADV+2", 0.25, 0.2542, 69.5, 68.4, 4.23, 68, 128, 0.0, 0.66, 0.615, 0.9203, 0.5508, 915),
+    ("ofar", "lean-3R", "ADV+2", 0.45, 0.4419, 99.2, 96.1, 4.48, 96, 220, 0.0057, 0.833, 0.729, 0.9515, 0.4525, 1591),
+]
+ITERATIONS_COLUMNS = ("routing", "allocator_iterations", "pattern", "load", *POINT_COLUMNS)
+ITERATIONS_TINY_ROWS = [
+    ("ofar", 1, "UN", 0.45, 0.4514, 73.2, 70.3, 3.45, 72, 156, 0.0006, 0.524, 0.391, 0.9511, 0.4874, 1625),
+    ("ofar", 1, "ADV+2", 0.45, 0.4256, 125.7, 122.8, 4.52, 120, 316, 0.0418, 0.787, 0.734, 0.9457, 0.517, 1532),
+    ("ofar", 2, "UN", 0.45, 0.4503, 71.5, 68.7, 3.43, 72, 156, 0.0, 0.51, 0.39, 0.9471, 0.533, 1621),
+    ("ofar", 2, "ADV+2", 0.45, 0.4203, 122.0, 119.0, 4.48, 116, 288, 0.0311, 0.759, 0.735, 0.9529, 0.4759, 1513),
+    ("ofar", 3, "UN", 0.45, 0.4475, 71.4, 68.5, 3.44, 72, 152, 0.0, 0.513, 0.384, 0.9433, 0.581, 1611),
+    ("ofar", 3, "ADV+2", 0.45, 0.4289, 118.2, 115.2, 4.43, 112, 264, 0.0298, 0.736, 0.735, 0.9475, 0.4197, 1544),
+    ("ofar", 4, "UN", 0.45, 0.4475, 71.4, 68.5, 3.44, 72, 152, 0.0, 0.513, 0.384, 0.9433, 0.581, 1611),
+    ("ofar", 4, "ADV+2", 0.45, 0.4289, 118.2, 115.2, 4.43, 112, 264, 0.0298, 0.736, 0.735, 0.9475, 0.4197, 1544),
+]
+
+#: figure -> (emitted table, pinned columns, its tiny rows).
+TINY_ROWS = {
+    "fig6": ("table", FIG6_COLUMNS, FIG6_TINY_ROWS),
+    "fig7": ("burst_table", FIG7_COLUMNS, FIG7_TINY_ROWS),
+    "router_design": ("table", ROUTER_DESIGN_COLUMNS, ROUTER_DESIGN_TINY_ROWS),
+    "ablation_iterations": ("table", ITERATIONS_COLUMNS, ITERATIONS_TINY_ROWS),
+}
+
 
 def mapping(**overrides):
     """A minimal valid steady campaign mapping."""
@@ -100,15 +145,12 @@ class TestGoldenGrids:
         digest = hashlib.sha256("\n".join(fps).encode()).hexdigest()[:16]
         assert (len(fps), digest) == GOLDEN_FINGERPRINTS[name][scale]
 
-    def test_fig6_rows_match_the_driver(self):
-        rows = figure("fig6")["table"].rows
-        assert [tuple(r[c] for c in FIG6_COLUMNS) for r in rows] == FIG6_TINY_ROWS
-        assert all(tuple(r) == FIG6_COLUMNS for r in rows)
-
-    def test_fig7_rows_match_the_driver(self):
-        rows = figure("fig7")["burst_table"].rows
-        assert [tuple(r[c] for c in FIG7_COLUMNS) for r in rows] == FIG7_TINY_ROWS
-        assert all(tuple(r) == FIG7_COLUMNS for r in rows)
+    @pytest.mark.parametrize("name", sorted(TINY_ROWS))
+    def test_tiny_rows_match(self, name):
+        table, columns, expected = TINY_ROWS[name]
+        rows = figure(name)[table].rows
+        assert [tuple(r[c] for c in columns) for r in rows] == expected
+        assert all(tuple(r) == columns for r in rows)
 
     @pytest.mark.parametrize("scale", ["tiny", "medium"])
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Unit tests for OutputChannel and the router's separable allocator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.buffers import Buffer
 from repro.network.packet import Packet
@@ -86,8 +88,9 @@ class RecordingNetwork:
         self.grants.append((in_port, in_vc, out_port, out_vc, kind, pkt.pid))
 
 
-def mk_router(num_inputs=3, num_vcs=2, capacity=32):
-    rt = Router(rid=0, group=0, index=0, packet_size=8, iterations=3)
+def mk_router(num_inputs=3, num_vcs=2, capacity=32, iterations=3, read_ports=1):
+    rt = Router(rid=0, group=0, index=0, packet_size=8, iterations=iterations,
+                read_ports=read_ports)
     for _ in range(num_inputs):
         rt.add_input_port(PortKind.LOCAL, num_vcs, capacity, upstream=None)
     for port in range(num_inputs):
@@ -228,3 +231,90 @@ class TestAllocator:
             cycle += 8
         winners = [g[0] for g in net.grants]
         assert winners.count(0) == winners.count(1) == 20
+
+
+class PreferenceRouting:
+    """Each head asks for the first of its preferred (port, vc) outputs
+    that is still available; a head with no preferences (or whose
+    preferences are all taken) stalls.  Like every real routing
+    algorithm it never names a busy, claimed or credit-starved output.
+    """
+
+    def __init__(self, prefs):
+        self.prefs = prefs
+
+    def route(self, rt, in_port, in_vc, pkt, cycle):
+        for out_port, out_vc in self.prefs[(in_port, in_vc)]:
+            if rt.min_available(out_port, cycle, out_vc, pkt.size):
+                return (out_port, out_vc, KIND_MIN)
+        return None
+
+
+PORTS = 4
+VCS = 3
+key_st = st.tuples(st.integers(0, PORTS - 1), st.integers(0, VCS - 1))
+
+
+class TestAllocatorConflictFreedom:
+    """Whatever heads wait, with whatever busy read slots and output
+    preferences, one cycle of allocation never grants an output port
+    twice, an input port more often than its read ports, or a (port, vc)
+    twice — for every read-port and iteration count."""
+
+    @given(
+        read_ports=st.integers(1, 3),
+        iterations=st.integers(1, 3),
+        heads=st.dictionaries(
+            key_st,
+            st.tuples(st.integers(1, 3), st.lists(key_st, max_size=3)),
+            min_size=1,
+            max_size=PORTS * VCS,
+        ),
+        busy=st.lists(st.integers(0, 8), min_size=PORTS * 3, max_size=PORTS * 3),
+        steps=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_grants_never_double_book(self, read_ports, iterations, heads, busy, steps):
+        rt = mk_router(num_inputs=PORTS, num_vcs=VCS, capacity=1024,
+                       iterations=iterations, read_ports=read_ports)
+        for port in range(PORTS):
+            rt.in_busy[port] = busy[port * 3:port * 3 + read_ports]
+        pid = 0
+        for key, (packets, _) in heads.items():
+            for _ in range(packets):
+                rt.in_bufs[key[0]][key[1]].push(mk_packet(pid))
+                pid += 1
+            rt.pending.add(key)
+        routing = PreferenceRouting({key: prefs for key, (_, prefs) in heads.items()})
+        net = RecordingNetwork()
+        cycle = 0
+        for step in steps:
+            before = len(net.grants)
+            granted = rt.allocate(cycle, routing, net)
+            grants = net.grants[before:]
+            assert granted == len(grants)
+            outs = [g[2] for g in grants]
+            assert len(set(outs)) == len(outs)
+            ins = [g[0] for g in grants]
+            assert all(ins.count(p) <= read_ports for p in ins)
+            vcs = [g[:2] for g in grants]
+            assert len(set(vcs)) == len(vcs)
+            assert not rt._claimed_out and not rt._matched_in
+            cycle += step
+
+
+class TestMultiReadArbitration:
+    def test_input_lrs_alternates_between_colliding_vcs(self):
+        """Two VCs of a 2-read port want the same output: one wins per
+        cycle (the output is the limit, not the read ports), and the
+        input-stage LRS arbiter hands the turn back and forth."""
+        rt = mk_router(capacity=1024, read_ports=2)
+        net = RecordingNetwork()
+        for vc in (0, 1):
+            for _ in range(4):
+                rt.in_bufs[0][vc].push(mk_packet(vc))
+        rt.pending.update([(0, 0), (0, 1)])
+        for cycle in range(0, 48, 8):
+            assert rt.allocate(cycle, StubRouting(2), net) == 1
+        assert [g[1] for g in net.grants] == [0, 1, 0, 1, 0, 1]
+        assert list(rt._in_arbiters) == [0] and not rt._out_arbiters
