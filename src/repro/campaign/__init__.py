@@ -23,8 +23,8 @@ _EXPORTS = {
         "validate_post",
     ),
     "spec": (
-        "BurstPoint", "CampaignError", "CampaignPoint", "CampaignSpec",
-        "TransientPoint", "deep_merge", "load_campaign", "load_mapping",
+        "CampaignError", "CampaignPoint", "CampaignSpec", "deep_merge",
+        "load_campaign", "load_mapping",
     ),
 }
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

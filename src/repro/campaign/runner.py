@@ -1,14 +1,13 @@
 """Campaign execution and the ``post:`` emitter registry.
 
-:func:`run_campaign` resolves every expanded point through the run
-layer: steady and scenario grids go through an
-:class:`~repro.engine.orchestrator.Orchestrator` — workers, result-store
+:func:`run_campaign` resolves every expanded point through an
+:class:`~repro.engine.orchestrator.Orchestrator`, and
+:func:`run_campaign_fabric` through the fabric — workers, result-store
 caching, resume, retry, telemetry and mid-run checkpoints all work on
 campaign points exactly as on hand-built RunSpec grids, because a
-campaign point *is* a RunSpec — while transient and burst points run
-the Fig. 6 pattern-switch / Fig. 7 burst-consumption protocols right
-here (not store-cached: their results are a time series and a
-completion time, not LoadPoints).
+campaign point *is* a RunSpec, of whatever kind.  A non-steady point's
+full result (transient series, burst completion, scenario outcome)
+reaches the emitters as a store sidecar.
 
 ``post:`` hooks name figure/table emitters from :data:`EMITTERS`; each
 builds one :class:`~repro.analysis.results.Table` from the finished
@@ -19,15 +18,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from tempfile import TemporaryDirectory
 
 from repro.analysis.results import Series, Table, series_table
+from repro.analysis.store import ResultStore
 from repro.campaign.aggregate import mean_ci
-from repro.campaign.spec import (
-    IN_PROCESS_KINDS,
-    CampaignError,
-    CampaignPoint,
-    CampaignSpec,
-)
+from repro.campaign.spec import CampaignError, CampaignPoint, CampaignSpec
 from repro.engine.orchestrator import Orchestrator, summarize
 
 
@@ -36,22 +32,22 @@ class CampaignRun:
     """A finished campaign: the grid, its outcomes, and run statistics.
 
     ``outcomes`` aligns with ``points``: a
-    :class:`~repro.engine.metrics.LoadPoint` per steady or scenario
-    point, a :class:`~repro.engine.runner.TransientResult` per transient
-    point, a :class:`~repro.engine.runner.BurstResult` per burst point.
-    Scenario campaigns additionally carry the full per-point
-    :class:`~repro.cluster.runner.ScenarioResult` list (job rows, blast
-    radii) in ``scenario_results``, which the scenario emitters consume.
-    ``counts`` is the orchestrator summary (done/cached/failed) — the
-    resume contract surfaces here: a second run of the same campaign
-    against the same store reports 100% ``cached``.
+    :class:`~repro.engine.metrics.LoadPoint` per point.  Non-steady
+    campaigns additionally carry each point's full result — a
+    :class:`~repro.engine.runner.TransientResult`,
+    :class:`~repro.engine.runner.BurstResult` or
+    :class:`~repro.cluster.runner.ScenarioResult` — in ``results``,
+    which their emitters consume.  ``counts`` is the orchestrator
+    summary (done/cached/failed) — the resume contract surfaces here: a
+    second run of the same campaign against the same store reports 100%
+    ``cached``.
     """
 
     campaign: CampaignSpec
     points: list[CampaignPoint]
     outcomes: list
     counts: dict
-    scenario_results: list | None = None
+    results: list | None = None
 
 
 def run_campaign(
@@ -59,82 +55,38 @@ def run_campaign(
 ) -> CampaignRun:
     """Expand and execute every point; a failed point raises.
 
-    Steady and scenario points get the orchestrator's workers / caching /
-    retry (default: in-process, no store).  Transient and burst points
-    have no store representation and always run in-process, so an
-    orchestrator that asks for workers, a store, a timeout or telemetry
-    is refused rather than silently ignored.
+    Default orchestrator: in-process, no store.  A non-steady point's
+    full result travels from the executor to the emitters as a store
+    sidecar, so without a store those points run over a throw-away one.
     """
+    o = orchestrator or Orchestrator(workers=0, retries=0)
+    if campaign.kind != "steady" and o.store is None:
+        with TemporaryDirectory() as tmp:
+            return run_campaign(campaign, Orchestrator(
+                o.workers, ResultStore(tmp), o.use_cache, o.retries, o.timeout,
+                o.observer, telemetry=o.telemetry, telemetry_dir=o.telemetry_dir,
+            ))
     points = campaign.expand()
-    if campaign.kind in IN_PROCESS_KINDS:
-        return _run_in_process(campaign, points, orchestrator)
-    orchestrator = orchestrator or Orchestrator(workers=0, retries=0)
-    specs = [p.spec for p in points]
-    if campaign.kind == "scenario" and orchestrator.store is None:
-        # A ScenarioResult travels from the executor to the emitters as
-        # a store sidecar; with no store to carry it, the points run
-        # right here.
-        from repro.cluster.runner import run_scenario
-
-        scenario_results = [run_scenario(s) for s in specs]
-        outcomes = [r.total for r in scenario_results]
-        return CampaignRun(
-            campaign, points, outcomes, _all_done(len(points)), scenario_results
-        )
-    results = orchestrator.run(specs)
-    return _finished(campaign, points, results, summarize(results), orchestrator.store)
-
-
-def _run_in_process(
-    campaign: CampaignSpec, points: list[CampaignPoint], o: Orchestrator | None
-) -> CampaignRun:
-    """Run a transient or burst campaign's points right here."""
-    from repro.engine.runner import run_burst, run_transient
-
-    if o is not None and (o.workers or o.store is not None
-                          or o.timeout is not None or o.telemetry is not None):
-        raise CampaignError(
-            f"{campaign.kind} campaigns run in-process and uncached (their "
-            "points are not LoadPoints); --workers/--store/--resume/"
-            "--timeout/--snapshot-every/--telemetry do not apply"
-        )
-    if campaign.kind == "transient":
-        outcomes = [
-            run_transient(
-                t.config, t.before, t.after, t.load,
-                warmup=t.warmup, post=t.post, bucket=t.bucket,
-            )
-            for t in (p.transient for p in points)
-        ]
-    else:
-        outcomes = [
-            run_burst(b.config, b.pattern, b.packets_per_node)
-            for b in (p.burst for p in points)
-        ]
-    return CampaignRun(campaign, points, outcomes, _all_done(len(points)))
-
-
-def _all_done(n: int) -> dict:
-    """Orchestrator-summary-shaped counts for points run right here."""
-    return {"total": n, "done": n, "cached": 0, "failed": 0, "wall_time": 0.0}
+    results = o.run([p.spec for p in points])
+    return _finished(campaign, points, results, summarize(results), o.store)
 
 
 def _finished(campaign, points, results, counts, store) -> CampaignRun:
-    """Strict results (a failed point raises) plus, for scenario
-    campaigns, each point's full ScenarioResult.
+    """Strict results (a failed point raises) plus, for non-steady
+    campaigns, each point's full result.
 
-    Orchestrated and fabric-drained scenario points persist their
-    ScenarioResult as a ``scenarios`` sidecar the moment they finish;
-    this reads those back (recomputing in-process only if a sidecar is
-    missing — e.g. a main-store cache hit that predates the sidecar).
+    Orchestrated and fabric-drained points persist their full result as
+    a store sidecar the moment they finish; this reads those back
+    (recomputing in-process only if a sidecar is missing — e.g. a
+    main-store cache hit that predates the sidecar).
     """
     outcomes = [r.require() for r in results]
-    scenario_results = None
-    if campaign.kind == "scenario":
+    full = None
+    if campaign.kind != "steady":
         from repro.engine.execute import execute_cached
 
-        scenario_results = [execute_cached(p.spec, store) for p in points]
-    return CampaignRun(campaign, points, outcomes, counts, scenario_results)
+        full = [execute_cached(p.spec, store) for p in points]
+    return CampaignRun(campaign, points, outcomes, counts, full)
 
 
 def run_campaign_fabric(campaign: CampaignSpec, store, **drain_options) -> CampaignRun:
@@ -147,19 +99,10 @@ def run_campaign_fabric(campaign: CampaignSpec, store, **drain_options) -> Campa
     campaign point is an ordinary RunSpec and fingerprints are executor-
     independent, the resulting store is interchangeable with a
     single-host ``campaign run`` against the same directory, and the
-    emitted tables are bit-identical.
-
-    Transient and burst campaigns have no store representation (their
-    points are not LoadPoints), so they cannot be fabric-drained.
-    Scenario campaigns drain like steady ones — each worker persists the
-    point's full ScenarioResult as a store sidecar, which the emitters
-    read back after the drain.
+    emitted tables are bit-identical.  Each worker persists a
+    non-steady point's full result as a store sidecar, which the
+    emitters read back after the drain.
     """
-    if campaign.kind in IN_PROCESS_KINDS:
-        raise CampaignError(
-            f"--fabric drains steady and scenario campaigns; {campaign.kind} "
-            "campaigns have no store representation to coordinate through"
-        )
     from repro.fabric import drain
 
     points = campaign.expand()
@@ -190,11 +133,13 @@ def _require_kind(run: CampaignRun, kind: str, emitter: str) -> None:
         raise CampaignError(f"{emitter!r} is a {kind}-campaign emitter")
 
 
-def _first_seed(run: CampaignRun):
-    """``(point, outcome)`` pairs of the campaign's base seed — the
-    single-seed view the figure-shaped emitters tabulate."""
+def _first_seed(run: CampaignRun, outcomes: list | None = None):
+    """``(point, outcome)`` pairs (or of ``outcomes``, e.g. the full
+    results) of the campaign's base seed — the single-seed view the
+    figure-shaped emitters tabulate."""
     return [
-        (point, outcome) for point, outcome in zip(run.points, run.outcomes)
+        (point, outcome)
+        for point, outcome in zip(run.points, outcomes or run.outcomes)
         if point.replication == 0
     ]
 
@@ -240,12 +185,12 @@ def emit_table(run: CampaignRun) -> Table:
 def _emit_transient(run: CampaignRun, table: Table) -> Table:
     """Fig. 6-shaped rows: transition, load, routing, settle summary."""
     multi_seed = len(run.campaign.seeds) > 1
-    for point, result in zip(run.points, run.outcomes):
-        t = point.transient
+    for point, result in zip(run.points, run.results):
+        t = point.spec.transient
         row = {
             "transition": f"{t.before}->{t.after}",
-            "load": t.load,
-            "routing": t.config.routing,
+            "load": point.spec.load,
+            "routing": point.config.routing,
         }
         if multi_seed:
             row["seed"] = dict(point.coords)["seed"]
@@ -351,7 +296,7 @@ def emit_burst_table(run: CampaignRun) -> Table:
     _require_kind(run, "burst", "burst_table")
     varying = [axis for axis in _varying_axes(run.campaign) if axis != "routing"]
     cycles: dict[tuple, dict[str, int]] = {}
-    for point, result in _first_seed(run):
+    for point, result in _first_seed(run, run.results):
         key = tuple(c for c in point.coords if c[0] in varying)
         cycles.setdefault(key, {})[point.config.routing] = result.completion_cycle
     if not all("pb" in by_routing for by_routing in cycles.values()):
@@ -412,9 +357,8 @@ def emit_offsets(run: CampaignRun) -> Table:
 
 
 def _require_scenario(run: CampaignRun, emitter: str) -> list:
-    if run.campaign.kind != "scenario" or run.scenario_results is None:
-        raise CampaignError(f"{emitter!r} is a scenario-campaign emitter")
-    return run.scenario_results
+    _require_kind(run, "scenario", emitter)
+    return run.results
 
 
 def _point_prefix(run: CampaignRun, point: CampaignPoint) -> dict:

@@ -44,10 +44,11 @@ and ``thresholds`` included):
 are hard errors) and returns a frozen :class:`CampaignSpec`;
 :meth:`CampaignSpec.expand` compiles it to a deterministic list of
 :class:`CampaignPoint` — declared axis order outermost-first, seeds
-innermost — whose steady points are ordinary
-:class:`~repro.engine.runspec.RunSpec` values.  Everything downstream
-(orchestrator workers, result-store caching, resume, telemetry,
-``--snapshot-every``) therefore works on campaign points unchanged,
+innermost — each holding an ordinary
+:class:`~repro.engine.runspec.RunSpec`, whatever the kind.  Everything
+downstream (orchestrator workers, result-store caching, resume,
+telemetry, ``--snapshot-every``, the fabric) therefore works on
+campaign points unchanged,
 and a campaign point is *byte-identical* to the same RunSpec built by
 hand: same builder, same salts, same fingerprint.
 """
@@ -62,14 +63,10 @@ from pathlib import Path
 from repro.cluster.spec import ScenarioSpec
 from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig, ThresholdConfig
-from repro.engine.runspec import RunSpec
+from repro.engine.runspec import RunSpec, TransientSpec
 from repro.experiments.common import Scale, get_scale
 
 KINDS = ("steady", "transient", "burst", "scenario")
-
-#: Kinds whose points are time series / completion times, not
-#: LoadPoints: they run in-process and have no store representation.
-IN_PROCESS_KINDS = ("transient", "burst")
 
 #: Axes with run-level (not SimulationConfig) meaning.
 RUN_AXES = ("routing", "pattern", "load", "transition", "variant")
@@ -187,28 +184,6 @@ def load_campaign(path: str | Path, scale: str | None = None) -> "CampaignSpec":
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TransientPoint:
-    """One pattern-switch measurement (Fig. 6 protocol) of a campaign."""
-
-    config: SimulationConfig
-    before: str
-    after: str
-    load: float
-    warmup: int
-    post: int
-    bucket: int
-
-
-@dataclass(frozen=True)
-class BurstPoint:
-    """One burst-consumption measurement (Fig. 7 protocol) of a campaign."""
-
-    config: SimulationConfig
-    pattern: str
-    packets_per_node: int
-
-
-@dataclass(frozen=True)
 class CampaignPoint:
     """One expanded grid point: its coordinates and its executable form.
 
@@ -220,13 +195,11 @@ class CampaignPoint:
 
     coords: tuple[tuple[str, object], ...]
     replication: int
-    spec: RunSpec | None = None  # steady and scenario campaigns
-    transient: TransientPoint | None = None  # transient campaigns
-    burst: BurstPoint | None = None  # burst campaigns
+    spec: RunSpec
 
     @property
     def config(self) -> SimulationConfig:
-        return (self.spec or self.transient or self.burst).config
+        return self.spec.config
 
     def label(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.coords)
@@ -450,6 +423,12 @@ class CampaignSpec:
         windows = data.get("windows", {})
         if not isinstance(windows, dict) or not set(windows) <= _WINDOW_KEYS:
             raise CampaignError(f"'windows' keys must be among {sorted(_WINDOW_KEYS)}")
+        for key, value in windows.items():
+            least = 0 if key == "warmup" else 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise CampaignError(
+                    f"windows.{key} must be an int >= {least}, got {value!r}"
+                )
 
         scenario_data = data.get("scenario")
         scenario = None
@@ -536,39 +515,31 @@ class CampaignSpec:
             raise CampaignError(f"campaign {self.name!r}: bad point config: {exc}") from None
 
     def _executable(self, named: dict, config: SimulationConfig, backend: str):
-        """``(resolved coordinates, CampaignPoint field)`` of one grid
-        cell; raises ValueError for a point that cannot be built."""
+        """``(resolved coordinates, RunSpec)`` of one grid cell; raises
+        ValueError for a point that cannot be built."""
         if self.kind == "transient":
             t = named["transition"]
             before = _resolve_pattern(t["before"], config.h)
             after = _resolve_pattern(t["after"], config.h)
-            return {"transition": f"{before}->{after}@{t['load']:g}"}, {
-                "transient": TransientPoint(
-                    config=config,
-                    before=before,
-                    after=after,
-                    load=t["load"],
-                    warmup=self.transient_warmup,
-                    post=self.transient_post,
-                    bucket=max(10, self.transient_post // 100),
-                ),
-            }
+            post = self.transient_post
+            switch = TransientSpec(before, after, self.transient_warmup, post, max(10, post // 100))
+            return {"transition": f"{before}->{after}@{t['load']:g}"}, \
+                RunSpec.for_transient(config, switch, t["load"], backend=backend)
         if self.kind == "scenario":
             # The ScenarioSpec is shared by every point — same arrivals,
             # same schedule, same faults — while the config (routing,
             # seed, ...) varies, so the grid compares routings under
             # *identical* churn.
-            return {}, {"spec": RunSpec.for_scenario(config, self.scenario, backend=backend)}
+            return {}, RunSpec.for_scenario(config, self.scenario, backend=backend)
         pattern = _resolve_pattern(named["pattern"], config.h)
         if self.kind == "burst":
             backlog = self.scale.burst_packets_per_node
-            return {"pattern": pattern}, {"burst": BurstPoint(config, pattern, backlog)}
-        return {"pattern": pattern}, {
-            "spec": RunSpec(
-                config, pattern, named["load"], self.warmup, self.measure,
-                max_windows=self.max_windows, backend=backend,
-            ),
-        }
+            return {"pattern": pattern}, \
+                RunSpec.for_burst(config, pattern, backlog, backend=backend)
+        return {"pattern": pattern}, RunSpec(
+            config, pattern, named["load"], self.warmup, self.measure,
+            max_windows=self.max_windows, backend=backend,
+        )
 
     def expand(self) -> list[CampaignPoint]:
         """The deterministic point grid.
@@ -597,7 +568,7 @@ class CampaignSpec:
             for replication, seed in enumerate(self.seeds):
                 config = self._config_for(overrides, seed)
                 try:
-                    resolved, executable = self._executable(named, config, backend)
+                    resolved, spec = self._executable(named, config, backend)
                 except ValueError as exc:
                     label = " ".join(f"{k}={v}" for k, v in named.items())
                     raise CampaignError(
@@ -606,5 +577,5 @@ class CampaignSpec:
                 coords = tuple({**named, **resolved}.items()) + (("seed", seed),)
                 if coords not in seen:
                     seen.add(coords)
-                    points.append(CampaignPoint(coords, replication, **executable))
+                    points.append(CampaignPoint(coords, replication, spec))
         return points

@@ -274,9 +274,7 @@ def cmd_campaign_run(args) -> None:
 def cmd_campaign_expand(args) -> None:
     campaign = _load_campaign_or_exit(args)
     for i, point in enumerate(campaign.expand()):
-        key = (point.spec.fingerprint()[:12] if point.spec is not None
-               else campaign.kind.ljust(12))
-        print(f"{i:4d}  {key}  {point.label()}")
+        print(f"{i:4d}  {point.spec.fingerprint()[:12]}  {point.label()}")
 
 
 def cmd_campaign_validate(args) -> None:
@@ -482,15 +480,8 @@ def cmd_snapshot_bisect(args) -> None:
 # ----------------------------------------------------------------------
 
 def _fabric_campaign_specs(args):
-    """The campaign plus its expanded RunSpec grid (steady/scenario)."""
-    from repro.campaign.spec import IN_PROCESS_KINDS
-
+    """The campaign plus its expanded RunSpec grid."""
     campaign = _load_campaign_or_exit(args)
-    if campaign.kind in IN_PROCESS_KINDS:
-        raise SystemExit(
-            f"fabric error: {campaign.kind} campaigns have no store "
-            "representation to coordinate through"
-        )
     return campaign, [p.spec for p in campaign.expand()]
 
 

@@ -4,12 +4,13 @@ Every number the run layer produces is one :class:`RunSpec` point, and
 this module is the only code that runs one.  Who calls it::
 
     run_spec / run_workload / run_scenario      (in-process, public API)
+    run_transient / run_burst
     Orchestrator(worker=partial(execute_point)) (inline or N persistent children)
     FabricWorker(execute=partial(execute_point))(file or HTTP lease backend)
     execute_cached                              (sidecar cache, full result)
                         │
                         ▼
-                 execute_outcome  ──►  PointKind hooks (steady | workload | scenario)
+                 execute_outcome  ──►  PointKind hooks (one row per kind of point)
 
 :func:`execute_outcome` is a segment loop.  A point has a warm-up phase
 and one or more measurement windows (``spec.max_windows``; a fixed
@@ -23,11 +24,11 @@ resumes from the last save with nothing replayed and nothing lost.
 Without it there is one segment per phase and no checkpoint file is
 touched — same code, same bytes.
 
-What differs between steady, workload and scenario points is confined
-to one :class:`PointKind` row each (the steady row lives here, the
-others beside their result types in :mod:`repro.workloads.runner` and
-:mod:`repro.cluster.runner`, imported on first use so plain steady
-points never load them).
+What differs between the kinds of point is confined to one
+:class:`PointKind` row each (the steady row lives here, the others
+beside their result types in :mod:`repro.engine.runner` (transient,
+burst), :mod:`repro.workloads.runner` and :mod:`repro.cluster.runner`,
+imported on first use so plain steady points never load them).
 """
 
 from __future__ import annotations
@@ -62,10 +63,14 @@ def windows_agree(
     return abs(current - previous) / scale <= rel_tol
 
 
+def run_to(sim: "Simulator", plan: Any, extras: dict, stop: int) -> None:
+    """The default ``advance``: nothing happens between cycles."""
+    sim.run(stop - sim.cycle)
+
+
 @dataclass(frozen=True)
 class PointKind:
-    """What one kind of point (steady / workload / scenario) contributes
-    to the executor's loop.
+    """What one kind of point contributes to the executor's loop.
 
     ``plan`` is whatever immutable, spec-derived data the kind's other
     hooks need (rebuilt identically on resume, so it never rides in a
@@ -75,28 +80,22 @@ class PointKind:
 
     #: ``(spec) -> (simulator, plan)`` — fresh simulator, generator wired.
     build: Callable[[RunSpec], tuple["Simulator", Any]]
-    #: ``(sim, plan) -> dict`` — measurement state captured at the
-    #: warm-up boundary (JSON-safe: it is checkpointed with the simulator).
-    begin: Callable[["Simulator", Any], dict]
-    #: ``(sim, plan, extras, stop)`` — advance to cycle ``stop``.
-    advance: Callable[["Simulator", Any, dict, int], None]
     #: ``(sim, spec, plan, extras) -> (LoadPoint, full result | None)``.
     summarize: Callable[["Simulator", RunSpec, Any, dict], tuple[LoadPoint, Any]]
+    #: ``(sim, plan) -> dict`` — measurement state captured at the
+    #: warm-up boundary (JSON-safe: it is checkpointed with the simulator).
+    begin: Callable[["Simulator", Any], dict] = lambda sim, plan: {}
+    #: ``(sim, plan, extras, stop)`` — advance to cycle ``stop``; a true
+    #: return means the point finished early (a drained burst).
+    advance: Callable[["Simulator", Any, dict, int], Optional[bool]] = run_to
     #: Store sidecar kind the full result is persisted under, and the
     #: decoder that reads it back; None when the LoadPoint is everything.
     sidecar: Optional[str] = None
     decode: Optional[Callable[[dict], Any]] = None
 
 
-def run_to(sim: "Simulator", plan: Any, extras: dict, stop: int) -> None:
-    """The default ``advance``: nothing happens between cycles."""
-    sim.run(stop - sim.cycle)
-
-
 STEADY = PointKind(
     build=lambda spec: (resolve_backend(spec).build(spec), None),
-    begin=lambda sim, plan: {},
-    advance=run_to,
     summarize=lambda sim, spec, plan, extras: (
         sim.metrics.load_point(spec.load, sim.cycle), None
     ),
@@ -104,8 +103,11 @@ STEADY = PointKind(
 
 
 def kind_of(spec: RunSpec) -> PointKind:
-    """The only place a RunSpec is mapped to steady / workload /
-    scenario handling."""
+    """The only place a RunSpec is mapped to its kind's row."""
+    if spec.transient is not None or spec.burst is not None:
+        from repro.engine import runner
+
+        return runner.TRANSIENT if spec.transient is not None else runner.BURST
     if spec.scenario is not None:
         from repro.cluster.runner import SCENARIO
 
@@ -143,7 +145,7 @@ class PointOutcome:
     """Everything one executed point produced."""
 
     point: LoadPoint
-    #: WorkloadResult / ScenarioResult for those kinds, else None.
+    #: The kind's full result (WorkloadResult, ...); None for steady.
     result: Any = None
     #: The in-run telemetry series, when a sampler was attached.
     series: "TelemetrySeries | None" = None
@@ -163,7 +165,7 @@ def execute_outcome(
     ``telemetry`` applies to specs that carry no ``spec.telemetry`` of
     their own; the sampler covers the measurement phase (attached at the
     warm-up boundary) and never perturbs — the LoadPoint is bit-identical
-    with or without it.  With ``store_root``, a workload/scenario point's
+    with or without it.  With ``store_root``, a non-steady point's
     full result is written as a store sidecar (through a plain
     :class:`~repro.analysis.store.ResultStore` over that path — for an
     HTTP fabric worker this is its local spool); with ``telemetry_dir``
@@ -196,6 +198,7 @@ def execute_outcome(
     tcfg = spec.telemetry if spec.telemetry is not None else telemetry
     max_windows = spec.max_windows if spec.max_windows is not None else 1
     last_cycle = spec.warmup + max_windows * spec.measure
+    finished = None  # what the last ``advance`` returned
     while True:
         if extras is None and sim.cycle >= spec.warmup:
             # Warm-up boundary bookkeeping, exactly once per point: the
@@ -214,7 +217,7 @@ def execute_outcome(
             # specs).
             window = extras.get("window", 0)
             end = spec.warmup + (window + 1) * spec.measure
-            if sim.cycle >= end:
+            if finished or sim.cycle >= end:
                 point, result = kind.summarize(sim, spec, plan, extras)
                 previous = extras.get("previous")
                 if window + 1 >= max_windows or (
@@ -232,7 +235,7 @@ def execute_outcome(
                 ckpt.save_checkpoint(store_root, spec, sim, extras)
                 raise ckpt.Preempted(spec.fingerprint(), sim.cycle)
             stop = min(end, (sim.cycle // snapshot_every + 1) * snapshot_every)
-        kind.advance(sim, plan, extras, stop)
+        finished = kind.advance(sim, plan, extras, stop)
         if ckpt is not None and sim.cycle % snapshot_every == 0 \
                 and sim.cycle < last_cycle:
             ckpt.save_checkpoint(store_root, spec, sim, extras)
@@ -265,7 +268,7 @@ def execute_point(spec: RunSpec, **options) -> LoadPoint:
 def execute_cached(
     spec: RunSpec, store: "ResultStore | None", use_cache: bool = True
 ) -> Any:
-    """A workload/scenario spec's *full* result, through the store.
+    """A non-steady spec's *full* result, through the store.
 
     The result is cached as a store sidecar keyed by the spec
     fingerprint (written by every store-backed executor, so an
@@ -276,7 +279,7 @@ def execute_cached(
     """
     kind = kind_of(spec)
     if kind.sidecar is None:
-        raise ValueError("only workload and scenario specs have a full result")
+        raise ValueError("a steady spec's LoadPoint is its whole result")
     if store is not None and use_cache:
         payload = store.get_sidecar(kind.sidecar, spec)
         if payload is not None:

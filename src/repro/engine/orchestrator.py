@@ -248,7 +248,7 @@ class Orchestrator:
         if worker is execute_point:
             # The default worker is the one point executor with this
             # orchestrator's options bound: telemetry (orchestrator-wide
-            # or per-spec), workload/scenario sidecars into the store,
+            # or per-spec), non-steady full-result sidecars into the store,
             # and with ``snapshot_every`` mid-run checkpoints that a
             # retry resumes from.  Plain strings, so the partial pickles
             # into worker processes.

@@ -1,22 +1,23 @@
 """Experiment runners: steady state, load sweeps, transients, bursts.
 
-These wrap :class:`~repro.engine.simulator.Simulator` with the paper's
-measurement protocols so campaigns, studies and benchmarks stay
-declarative.
+These wrap the one point executor (:mod:`repro.engine.execute`) with
+the paper's measurement protocols so campaigns, studies and benchmarks
+stay declarative.  The transient (Fig. 6) and burst (Fig. 7) rows of
+the executor's per-kind table live here, beside their result types.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from typing import TYPE_CHECKING
 
 from repro.engine.backend import EngineBackend, resolve_backend
 from repro.engine.config import SimulationConfig
-from repro.engine.execute import execute_point
+from repro.engine.execute import PointKind, execute_outcome, execute_point
 from repro.engine.metrics import LoadPoint
-from repro.engine.runspec import RunSpec
+from repro.engine.runspec import RunSpec, TransientSpec
 from repro.engine.simulator import Simulator
 from repro.traffic.generators import BernoulliTraffic, BurstTraffic, TransientTraffic
 from repro.traffic.patterns import make_pattern
@@ -101,8 +102,15 @@ class TransientResult:
     switch_cycle: int
     series: list[tuple[int, float]]  # (send cycle bucket, avg latency)
     # In-run telemetry covering the whole transient (None unless
-    # run_transient was given a TelemetryConfig).
+    # run_transient was given a TelemetryConfig); not in the JSON form.
     telemetry: "TelemetrySeries | None" = None
+
+    def to_jsonable(self) -> dict:
+        return {"switch_cycle": self.switch_cycle, "series": self.series}
+
+    @classmethod
+    def from_jsonable(cls, data: dict) -> "TransientResult":
+        return cls(data["switch_cycle"], [tuple(p) for p in data["series"]])
 
     def average_latency(self, start: int, end: int) -> float:
         """Mean of the series over send cycles in [start, end)."""
@@ -172,30 +180,42 @@ class TransientResult:
         }
 
 
-def _build_transient_sim(
-    config: SimulationConfig,
-    before_spec: str,
-    after_spec: str,
-    load: float,
-    warmup: int,
-    bucket: int,
-    backend: str = "object",
-) -> Simulator:
-    """Fresh simulator + two-phase generator for one transient run."""
-    from repro.engine.backend import get_backend
-
-    sim = get_backend(backend).simulator(
-        config, record_send_latency=True, send_bucket=bucket
+def build_transient_sim(spec: RunSpec) -> Simulator:
+    """Fresh simulator + two-phase generator for one transient spec."""
+    t, config = spec.transient, spec.config
+    sim = resolve_backend(spec).simulator(
+        config, record_send_latency=True, send_bucket=t.bucket
     )
     topo = sim.network.topo
     phases = [
-        (0, make_pattern(topo, _pattern_rng(config, 0xB0), before_spec)),
-        (warmup, make_pattern(topo, _pattern_rng(config, 0xB1), after_spec)),
+        (0, make_pattern(topo, _pattern_rng(config, 0xB0), t.before)),
+        (t.switch, make_pattern(topo, _pattern_rng(config, 0xB1), t.after)),
     ]
     sim.generator = TransientTraffic(
-        phases, load, config.packet_size, topo.num_nodes, config.seed ^ 0x7171
+        phases, spec.load, config.packet_size, topo.num_nodes, config.seed ^ 0x7171
     )
     return sim
+
+
+def _transient_result(sim: Simulator, spec: RunSpec) -> TransientResult:
+    """The send-latency series over the reported range ``[0, switch + post)``."""
+    t = spec.transient
+    return TransientResult(t.switch, [
+        (cyc, lat) for cyc, lat in sim.metrics.send_latency_series()
+        if cyc < t.switch + t.post
+    ])
+
+
+#: The transient row of the point executor's per-kind table: the whole
+#: run is the measurement (warmup=0), so the sampler sees the switch.
+TRANSIENT = PointKind(
+    build=lambda spec: (build_transient_sim(spec), None),
+    summarize=lambda sim, spec, plan, extras: (
+        sim.metrics.load_point(spec.load, sim.cycle), _transient_result(sim, spec)
+    ),
+    sidecar="transients",
+    decode=TransientResult.from_jsonable,
+)
 
 
 def run_transient(
@@ -221,24 +241,13 @@ def run_transient(
     in the series; sample cycles line up directly with send cycles
     (both count from 0) and ``switch_cycle`` marks the transition.
     """
-    sim = _build_transient_sim(
-        config, before_spec, after_spec, load, warmup, bucket, backend
+    spec = RunSpec.for_transient(
+        config, TransientSpec(before_spec, after_spec, warmup, post, bucket),
+        load, drain_margin, backend=backend,
     )
-    sampler = None
-    if telemetry is not None:
-        from repro.telemetry.sampler import TelemetrySampler
-
-        sampler = TelemetrySampler(sim, telemetry)
-        sampler.attach()
-    sim.run(warmup + post + drain_margin)
-    series = [
-        (cyc, lat) for cyc, lat in sim.metrics.send_latency_series() if cyc < warmup + post
-    ]
-    return TransientResult(
-        switch_cycle=warmup,
-        series=series,
-        telemetry=sampler.finish() if sampler is not None else None,
-    )
+    outcome = execute_outcome(spec, telemetry=telemetry)
+    outcome.result.telemetry = outcome.series
+    return outcome.result
 
 
 def run_transient_forked(
@@ -273,17 +282,20 @@ def run_transient_forked(
     from repro.snapshot import Snapshot
     from repro.snapshot.codec import _walk_pattern_rngs
 
-    base = _build_transient_sim(
-        config, before_spec, after_specs[0], load, warmup, bucket, backend
-    )
+    specs = [
+        RunSpec.for_transient(
+            config, TransientSpec(before_spec, after, warmup, post, bucket),
+            load, drain_margin, backend=backend,
+        )
+        for after in after_specs
+    ]
+    base = build_transient_sim(specs[0])
     base.run(warmup)
     snap = Snapshot.capture(base)
 
     results = []
-    for after_spec in after_specs:
-        sim = _build_transient_sim(
-            config, before_spec, after_spec, load, warmup, bucket, backend
-        )
+    for spec in specs:
+        sim = build_transient_sim(spec)
         # The variant's own after-phase RNG state (post-construction —
         # e.g. a permutation pattern draws its mapping at build time).
         own = [
@@ -294,12 +306,7 @@ def run_transient_forked(
         for rng, state in own:
             rng.setstate(state)
         sim.run(post + drain_margin)
-        series = [
-            (cyc, lat)
-            for cyc, lat in sim.metrics.send_latency_series()
-            if cyc < warmup + post
-        ]
-        results.append(TransientResult(switch_cycle=warmup, series=series))
+        results.append(_transient_result(sim, spec))
     return results
 
 
@@ -317,6 +324,58 @@ class BurstResult:
     def packets_per_cycle(self) -> float:
         return self.total_packets / self.completion_cycle
 
+    def to_jsonable(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_jsonable(cls, data: dict) -> "BurstResult":
+        return cls(**data)
+
+
+def build_burst_sim(spec: RunSpec) -> Simulator:
+    """Fresh simulator + one-shot backlog generator for one burst spec."""
+    sim = resolve_backend(spec).simulator(spec.config)
+    topo = sim.network.topo
+    pattern = make_pattern(topo, _pattern_rng(spec.config, 0xC2), spec.pattern_spec)
+    sim.generator = BurstTraffic(pattern, spec.burst, topo.num_nodes)
+    return sim
+
+
+def _advance_burst(sim: Simulator, plan, extras: dict, stop: int) -> bool:
+    """Step until the backlog is consumed (True) or cycle ``stop``."""
+    while sim.cycle < stop and not sim.drained():
+        sim.step()
+    return sim.drained()
+
+
+def _summarize_burst(sim: Simulator, spec: RunSpec, plan, extras: dict):
+    if not sim.drained():
+        raise TimeoutError(
+            f"{sim.outstanding_packets()} packets still outstanding "
+            f"after {spec.measure} cycles"
+        )
+    m = sim.metrics
+    # NaN, not 0.0, when nothing was ejected: Metrics.load_point's rule.
+    n = m.ejected_packets if m.ejected_packets > 0 else float("nan")
+    return m.load_point(0.0, sim.cycle), BurstResult(
+        completion_cycle=sim.network.last_eject_cycle,
+        total_packets=m.ejected_packets,
+        avg_latency=m.latency_sum / n,
+        avg_hops=m.hops_sum / n,
+        ring_fraction=m.ring_packets / n,
+    )
+
+
+#: The burst row: ``measure`` is the cycle budget, and the point ends
+#: early — the normal case — once the network drains.
+BURST = PointKind(
+    build=lambda spec: (build_burst_sim(spec), None),
+    advance=_advance_burst,
+    summarize=_summarize_burst,
+    sidecar="bursts",
+    decode=BurstResult.from_jsonable,
+)
+
 
 def run_burst(
     config: SimulationConfig,
@@ -326,22 +385,5 @@ def run_burst(
     backend: str = "object",
 ) -> BurstResult:
     """Inject a fixed per-node backlog and time its full consumption."""
-    from repro.engine.backend import get_backend
-
-    sim = get_backend(backend).simulator(config)
-    topo = sim.network.topo
-    pattern = make_pattern(topo, _pattern_rng(config, 0xC2), pattern_spec)
-    sim.generator = BurstTraffic(pattern, packets_per_node, topo.num_nodes)
-    completion = sim.run_until_drained(max_cycles)
-    m = sim.metrics
-    # NaN, not 0.0, when nothing was ejected — same empty-window rule as
-    # Metrics.load_point (a burst always ejects, but keep the emitters
-    # honest).
-    n = m.ejected_packets if m.ejected_packets > 0 else float("nan")
-    return BurstResult(
-        completion_cycle=completion,
-        total_packets=m.ejected_packets,
-        avg_latency=m.latency_sum / n,
-        avg_hops=m.hops_sum / n,
-        ring_fraction=m.ring_packets / n,
-    )
+    spec = RunSpec.for_burst(config, pattern_spec, packets_per_node, max_cycles, backend)
+    return execute_outcome(spec).result

@@ -5,7 +5,9 @@ the :class:`~repro.engine.config.SimulationConfig`, the traffic-pattern
 spec string, the offered load, and the warm-up / measurement windows.
 ``RunSpec`` freezes them into one hashable value that the point
 executor, the orchestrator, the fabric and the on-disk result store all
-consume, so "the same point" means the same thing everywhere.
+consume, so "the same point" means the same thing everywhere.  The
+optional ``workload``, ``scenario``, ``transient`` and ``burst`` fields
+make it a point of another kind (:func:`repro.engine.execute.kind_of`).
 
 Two derived encodings matter:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.cluster.spec import ScenarioSpec
 from repro.engine.config import SimulationConfig
@@ -41,8 +43,26 @@ FINGERPRINT_VERSION = 1
 
 
 @dataclass(frozen=True)
+class TransientSpec:
+    """A pattern switch (Fig. 6): ``before`` until cycle ``switch``, then
+    ``after``; latency is reported per ``bucket`` send cycles over
+    ``[0, switch + post)``."""
+
+    before: str
+    after: str
+    switch: int
+    post: int
+    bucket: int = 20
+
+    def __post_init__(self) -> None:
+        for name in ("switch", "post", "bucket"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"transient {name} must be >= 1, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
 class RunSpec:
-    """One steady-state (config, pattern, load, windows) point."""
+    """One (config, pattern, load, windows) point of any kind."""
 
     config: SimulationConfig
     pattern_spec: str
@@ -81,57 +101,53 @@ class RunSpec:
     # ``fingerprint()`` — results computed by one backend are cache hits
     # for every other.
     backend: str = "object"
+    # Pattern-switch (Fig. 6) and burst-consumption (Fig. 7) protocols.
+    # Identity like ``workload``, the key omitted when None.  Both run
+    # from cycle 0 (warmup=0); a burst — ``burst`` packets per node —
+    # ends when the network drains, ``measure`` being its cycle budget.
+    transient: TransientSpec | None = None
+    burst: int | None = None
 
     def __post_init__(self) -> None:
         if self.load < 0:
             raise ValueError(f"load must be >= 0, got {self.load}")
         if self.warmup < 0 or self.measure < 0:
             raise ValueError("warmup and measure must be >= 0")
+        if not isinstance(self.backend, str) or not self.backend:
+            raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
+        kinds = [k for k in ("workload", "scenario", "transient", "burst")
+                 if getattr(self, k) is not None]
+        if len(kinds) > 1:
+            raise ValueError(f"a spec is one kind of point, got {kinds}")
         if self.max_windows is not None:
             if self.max_windows < 1:
                 raise ValueError(
                     f"max_windows must be >= 1, got {self.max_windows}"
                 )
-            if self.workload is not None:
+            if kinds:
                 raise ValueError(
                     "windowed convergence (max_windows) is a steady-state "
-                    "protocol; workload specs measure one fixed window"
+                    f"protocol; {kinds[0]} specs measure one fixed window"
                 )
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError(f"backend must be a non-empty string, got {self.backend!r}")
-        if self.workload is not None:
-            # Canonical encoding: the jobs carry the patterns and loads,
-            # so the single-tenant fields must hold fixed sentinel
-            # values — otherwise one workload could fingerprint two ways.
-            if self.pattern_spec != "workload" or self.load != 0.0:
+        if kinds:
+            # Canonical encoding: a kind's own field carries what the
+            # plain fields would, so those hold fixed sentinel values —
+            # one point, one fingerprint.  Per kind: the (pattern_spec,
+            # load, warmup) it must have, and whether the rest fits.
+            t, s = self.transient, self.scenario
+            pattern, load, warmup, fits = {
+                "workload": ("workload", 0.0, self.warmup, True),
+                "scenario": ("scenario", 0.0, 0, s is not None and self.measure == s.horizon),
+                "transient": ("transient", self.load, 0,
+                              t is not None and self.measure >= t.switch + t.post),
+                "burst": (self.pattern_spec, 0.0, 0, (self.burst or 0) >= 1),
+            }[kinds[0]]
+            if (self.pattern_spec, self.load, self.warmup) != (pattern, load, warmup) \
+                    or not fits:
                 raise ValueError(
-                    "workload specs must use pattern_spec='workload' and "
-                    "load=0.0 (use RunSpec.for_workload)"
-                )
-        if self.scenario is not None:
-            # Same canonical-sentinel rule as workload, plus the windows
-            # are pinned to the scenario's own horizon: one scenario,
-            # one fingerprint.
-            if self.workload is not None:
-                raise ValueError(
-                    "a spec carries a workload or a scenario, never both "
-                    "(the scenario compiles to its own workload)"
-                )
-            if self.max_windows is not None:
-                raise ValueError(
-                    "scenarios run a fixed horizon; max_windows does not "
-                    "apply"
-                )
-            if (
-                self.pattern_spec != "scenario"
-                or self.load != 0.0
-                or self.warmup != 0
-                or self.measure != self.scenario.horizon
-            ):
-                raise ValueError(
-                    "scenario specs must use pattern_spec='scenario', "
-                    "load=0.0, warmup=0 and measure == scenario.horizon "
-                    "(use RunSpec.for_scenario)"
+                    f"{kinds[0]} specs must use pattern_spec={pattern!r}, "
+                    f"load={load}, warmup={warmup} and windows that fit the {kinds[0]} "
+                    f"(use RunSpec.for_{kinds[0]})"
                 )
 
     @classmethod
@@ -164,23 +180,54 @@ class RunSpec:
             backend=backend,
         )
 
+    @classmethod
+    def for_transient(
+        cls,
+        config: SimulationConfig,
+        transient: TransientSpec,
+        load: float,
+        drain_margin: int = 4_000,
+        telemetry: TelemetryConfig | None = None,
+        backend: str = "object",
+    ) -> "RunSpec":
+        """Canonical constructor for pattern-switch specs: the run goes
+        ``drain_margin`` cycles past the reported range so late packets
+        from it are (almost) all accounted."""
+        return cls(
+            config, "transient", load, 0,
+            transient.switch + transient.post + drain_margin, telemetry,
+            backend=backend, transient=transient,
+        )
+
+    @classmethod
+    def for_burst(
+        cls,
+        config: SimulationConfig,
+        pattern_spec: str,
+        packets_per_node: int,
+        max_cycles: int = 2_000_000,
+        backend: str = "object",
+    ) -> "RunSpec":
+        """Canonical constructor for burst-consumption specs."""
+        return cls(
+            config, pattern_spec, 0.0, 0, max_cycles, backend=backend,
+            burst=packets_per_node,
+        )
+
     # ------------------------------------------------------------------
     def label(self) -> str:
         """Short human-readable tag for logs and progress lines."""
         if self.scenario is not None:
-            return (
-                f"{self.config.routing}/scenario[{self.scenario.scheduler},"
-                f"{self.scenario.horizon}cyc] (h={self.config.h})"
-            )
-        if self.workload is not None:
-            return (
-                f"{self.config.routing}/workload[{len(self.workload.jobs)} jobs]"
-                f" (h={self.config.h})"
-            )
-        return (
-            f"{self.config.routing}/{self.pattern_spec}/{self.load:g}"
-            f" (h={self.config.h})"
-        )
+            what = f"scenario[{self.scenario.scheduler},{self.scenario.horizon}cyc]"
+        elif self.workload is not None:
+            what = f"workload[{len(self.workload.jobs)} jobs]"
+        elif self.transient is not None:
+            what = f"{self.transient.before}->{self.transient.after}/{self.load:g}"
+        elif self.burst is not None:
+            what = f"{self.pattern_spec}/burst[{self.burst}]"
+        else:
+            what = f"{self.pattern_spec}/{self.load:g}"
+        return f"{self.config.routing}/{what} (h={self.config.h})"
 
     # ------------------------------------------------------------------
     # Serialization
@@ -199,34 +246,37 @@ class RunSpec:
             out["max_windows"] = self.max_windows
         if self.scenario is not None:
             out["scenario"] = self.scenario.to_jsonable()
+        if self.transient is not None:
+            out["transient"] = asdict(self.transient)
+        if self.burst is not None:
+            out["burst"] = self.burst
         return out
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "RunSpec":
         if not isinstance(data, dict):
             raise ValueError("RunSpec JSON must be an object")
-        known = {
-            "config", "pattern_spec", "load", "warmup", "measure",
-            "workload", "max_windows", "scenario",
+        # The optional keys, each with its decoder (scalars pass as is).
+        decoders = {
+            "workload": WorkloadSpec.from_jsonable,
+            "scenario": ScenarioSpec.from_jsonable,
+            "transient": lambda t: TransientSpec(**t),
+            "max_windows": None,
+            "burst": None,
         }
-        unknown = set(data) - known
+        unknown = set(data) - {
+            "config", "pattern_spec", "load", "warmup", "measure", *decoders
+        }
         if unknown:
             raise ValueError(f"unknown RunSpec keys: {sorted(unknown)}")
-        workload = data.get("workload")
-        scenario = data.get("scenario")
         return cls(
             config=SimulationConfig.from_json(json.dumps(data["config"])),
             pattern_spec=data["pattern_spec"],
             load=data["load"],
             warmup=data["warmup"],
             measure=data["measure"],
-            workload=WorkloadSpec.from_jsonable(workload)
-            if workload is not None
-            else None,
-            max_windows=data.get("max_windows"),
-            scenario=ScenarioSpec.from_jsonable(scenario)
-            if scenario is not None
-            else None,
+            **{k: decode(data[k]) if decode else data[k]
+               for k, decode in decoders.items() if data.get(k) is not None},
         )
 
     def to_json(self) -> str:

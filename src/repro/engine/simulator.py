@@ -243,23 +243,23 @@ class Simulator:
         """Packets created but not yet fully ejected."""
         return self.created_packets - self.network.ejected_packets
 
+    def drained(self) -> bool:
+        """True once the generator (if any) has finished and every
+        created packet is ejected."""
+        generator = self.generator
+        return (generator is None or generator.finished(self.cycle)) \
+            and self.outstanding_packets() == 0
+
     def run_until_drained(self, max_cycles: int) -> int:
-        """Run until the generator (if any) finishes and every created
-        packet is ejected; returns the cycle of the last ejection
-        (``network.last_eject_cycle``; -1 when nothing was ever ejected,
-        e.g. on a fresh simulator that is already drained).
+        """Run until :meth:`drained`; returns the cycle of the last
+        ejection (``network.last_eject_cycle``; -1 when nothing was ever
+        ejected, e.g. on a fresh simulator that is already drained).
 
         Endless generators (steady Bernoulli) never finish: the run hits
         ``max_cycles`` and raises :class:`TimeoutError`.
         """
         deadline = self.cycle + max_cycles
-
-        def active() -> bool:
-            if self.generator is not None and not self.generator.finished(self.cycle):
-                return True
-            return self.outstanding_packets() > 0
-
-        while active():
+        while not self.drained():
             if self.cycle >= deadline:
                 raise TimeoutError(
                     f"{self.outstanding_packets()} packets still outstanding "

@@ -28,8 +28,8 @@ Three layers, each thin:
   network: snapshot checkpoints (``snapshots/``, resumed by the same
   worker after SIGKILL; a point reclaimed by a *different* host re-runs
   from scratch and, being deterministic, lands the identical result),
-  telemetry series, and the workload/scenario sidecars the executors
-  write through their own local ``ResultStore``.  When a point
+  telemetry series, and the full-result sidecars (workload, scenario,
+  transient, burst) the executors write through a local ``ResultStore``.  When a point
   completes, :meth:`RemoteStore.put` uploads the result *and* the
   point's spooled sidecars in one request, so the coordinator's store
   ends up entry-for-entry identical to a shared-directory drain.
@@ -343,8 +343,8 @@ class RemoteStore(ResultStore):
     def _spooled_sidecars(self, fingerprint: str) -> dict:
         """Payloads the executors staged locally for this point.
 
-        The per-point execution path writes workload/scenario sidecars
-        through a plain ResultStore over the spool root; they ship with
+        The per-point execution path writes non-steady full-result
+        sidecars through a plain ResultStore over the spool root; they ship with
         the result so the coordinator's store carries full provenance.
         """
         sidecars: dict[str, dict] = {}

@@ -11,7 +11,7 @@ local disk and serves the whole fabric surface over JSON/HTTP:
   request carries ``worker``/``ttl``, so ownership checks behave
   exactly as if that worker held the files locally);
 - **store traffic**: batch resolution probes, result uploads (with the
-  point's workload/scenario sidecars in the same request, so an entry
+  point's full-result sidecars in the same request, so an entry
   and its provenance land together), failure records, and cached-point
   downloads;
 - **worker stats** upload/list/prune for ``fabric status`` and

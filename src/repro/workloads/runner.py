@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.engine.execute import PointKind, execute_outcome, run_to
+from repro.engine.execute import PointKind, execute_outcome
 from repro.engine.metrics import LoadPoint
 from repro.engine.runspec import RunSpec
 from repro.engine.simulator import Simulator
@@ -220,7 +220,6 @@ def _summarize_point(sim: Simulator, spec: RunSpec, plan, extras: dict):
 WORKLOAD = PointKind(
     build=lambda spec: (build_workload_sim(spec), None),
     begin=lambda sim, plan: {"baseline": _job_phit_baseline(sim.network)},
-    advance=run_to,
     summarize=_summarize_point,
     sidecar=SIDECAR_KIND,
     decode=WorkloadResult.from_jsonable,

@@ -255,6 +255,23 @@ class TestValidation:
         with pytest.raises(CampaignError, match="'windows' keys"):
             CampaignSpec.from_mapping(mapping(windows={"cooldown": 100}))
 
+    @pytest.mark.parametrize("key, value, least", [
+        ("transient_warmup", 0, 1), ("transient_post", 0, 1),
+        ("transient_warmup", 2.5, 1), ("warmup", "300", 0), ("warmup", True, 0),
+        ("measure", 0, 1),
+    ])
+    def test_window_values_validated(self, key, value, least):
+        """Each of these passed ``campaign validate``; the transient ones
+        then crashed ``campaign run`` (one after simulating the point)."""
+        data = mapping(windows={key: value})
+        if key.startswith("transient"):
+            data.update(kind="transient", combination={
+                "transition": [{"before": "UN", "after": "ADV+1", "load": 0.1}],
+                "routing": ["ofar"],
+            })
+        with pytest.raises(CampaignError, match=f"windows.{key} must be an int >= {least}"):
+            CampaignSpec.from_mapping(data).expand()
+
     def test_unknown_post_emitter_rejected(self):
         campaign = CampaignSpec.from_mapping(mapping(post=["histogram"]))
         with pytest.raises(CampaignError, match="unknown post emitters"):
@@ -355,11 +372,14 @@ class TestExpand:
         campaign = CampaignSpec.from_mapping(data)
         points = campaign.expand()
         assert len(points) == 2
-        assert points[0].spec is None
-        t = points[0].transient
-        assert (t.before, t.after, t.load) == ("UN", "ADV+2", 0.1)
-        assert t.warmup == TINY.transient_warmup
+        spec = points[0].spec
+        t = spec.transient
+        assert (t.before, t.after, spec.load) == ("UN", "ADV+2", 0.1)
+        assert (t.switch, t.post) == (TINY.transient_warmup, TINY.transient_post)
+        assert (spec.pattern_spec, spec.warmup) == ("transient", 0)
+        assert spec.measure == t.switch + t.post + 4_000  # default drain margin
         assert dict(points[0].coords)["transition"] == "UN->ADV+2@0.1"
+        assert points[0].spec.fingerprint() != points[1].spec.fingerprint()
 
 
 # ----------------------------------------------------------------------

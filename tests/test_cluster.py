@@ -315,8 +315,8 @@ class TestScenarioCampaign:
         campaign = CampaignSpec.from_mapping(scenario_mapping())
         run = run_campaign(campaign)
         assert len(run.outcomes) == 2
-        assert run.scenario_results is not None
-        a, b = run.scenario_results
+        assert run.results is not None
+        a, b = run.results
         assert a.makespan == b.makespan
         assert a.fairness == b.fairness
         tables = dict(emit(run))
@@ -330,11 +330,24 @@ class TestScenarioCampaign:
         plain = run_campaign(campaign)
         store = ResultStore(tmp_path)
         orch = run_campaign(campaign, Orchestrator(workers=0, store=store))
-        assert [doc(r) for r in plain.scenario_results] == \
-               [doc(r) for r in orch.scenario_results]
+        assert [doc(r) for r in plain.results] == \
+               [doc(r) for r in orch.results]
         # resume: everything cached
         again = run_campaign(campaign, Orchestrator(workers=0, store=store))
         assert again.counts["cached"] == again.counts["total"]
+
+    def test_timeout_applies_without_a_store(self):
+        """Storeless scenario campaigns used to run inline and drop the
+        orchestrator's workers and timeout: this reported 2 run, 0 failed."""
+        from repro.engine.orchestrator import Orchestrator, OrchestratorError
+
+        data = scenario_mapping()
+        # Long enough jobs that a point outlasts the pool's deadline poll.
+        data["scenario"]["horizon"] = 5_000
+        data["scenario"]["mix"]["durations"] = [[5_000, 1.0]]
+        campaign = CampaignSpec.from_mapping(data)
+        with pytest.raises(OrchestratorError, match="timed out"):
+            run_campaign(campaign, Orchestrator(workers=1, retries=0, timeout=0.01))
 
     def test_pattern_axis_rejected(self):
         with pytest.raises(CampaignError, match="job mix"):

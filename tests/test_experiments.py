@@ -85,9 +85,10 @@ class TestFig6:
         assert "ADV+2->ADV+3@0.12" in transitions
 
     def test_run_one_and_summary(self):
-        t = figure_campaign("fig6", routing=["ofar"]).expand()[0].transient
-        res = run_transient(t.config, t.before, t.after, 0.1,
-                            warmup=t.warmup, post=t.post, bucket=t.bucket)
+        spec = figure_campaign("fig6", routing=["ofar"]).expand()[0].spec
+        t = spec.transient
+        res = run_transient(spec.config, t.before, t.after, 0.1,
+                            warmup=t.switch, post=t.post, bucket=t.bucket)
         assert res.series
         summ = res.summarize(tail=200)
         assert summ["pre_latency"] > 0

@@ -12,11 +12,12 @@ read ports, iteration counts other than 3).
 
 The rest pins what the files lean on: the ``variant`` axis, the
 ``adv_offsets`` pattern shorthand, ``kind: burst``, the emitters'
-error paths — and the three bugs the two-definitions era hid (dict-valued
-axes crashing ``aggregate`` after the run, unbuildable points found
-mid-run, run flags silently dropped by in-process kinds).
+error paths, every run flag on transient and burst campaigns — and the
+bugs the two-definitions era hid (dict-valued axes crashing
+``aggregate`` after the run, unbuildable points found mid-run).
 """
 
+import csv
 import hashlib
 import sys
 
@@ -43,6 +44,10 @@ GOLDEN_FINGERPRINTS = {
     "fig3": {"tiny": (28, "fcff220c9c7bb02d"), "medium": (28, "c04aa9897aebcbfd")},
     "fig4": {"tiny": (28, "9ef61d4ccbd6b60d"), "medium": (28, "39ea5bf2aab355f3")},
     "fig5": {"tiny": (28, "9ef61d4ccbd6b60d"), "medium": (28, "5c91c12c30a8cc21")},
+    # Recorded when transient and burst points became RunSpecs (their
+    # drivers had no fingerprints; the tiny rows below pin their output).
+    "fig6": {"tiny": (9, "c20b7e0a52fd78b1"), "medium": (9, "c0ff788d55639eac")},
+    "fig7": {"tiny": (20, "d3269430abf51056"), "medium": (24, "8250f1b7ae168224")},
     "fig8": {"tiny": (20, "419b69f8ad863b18"), "medium": (20, "ad003008df816e32")},
     "fig9": {"tiny": (20, "2d38db28fcc9d553"), "medium": (30, "3a628264cdd31966")},
     "ablation_thresholds": {"tiny": (20, "5a60a6c8477c2279"), "medium": (20, "09fc690e317901d0")},
@@ -337,11 +342,11 @@ class TestBurstKind:
     def test_points_carry_the_scale_backlog(self):
         points = figure_campaign("fig7", "small").expand()
         assert len(points) == 5 * 4  # ADV+2 == ADV+h at h=2
-        first = points[0]
-        assert first.spec is None and first.transient is None
-        assert (first.burst.pattern, first.burst.config.routing) == ("UN", "val")
-        assert {p.burst.packets_per_node for p in points} == {20}
-        assert [c[0] for c in first.coords] == ["pattern", "routing", "seed"]
+        first = points[0].spec
+        assert (first.pattern_spec, first.config.routing) == ("UN", "val")
+        assert (first.load, first.warmup, first.transient) == (0.0, 0, None)
+        assert {p.spec.burst for p in points} == {20}
+        assert [c[0] for c in points[0].coords] == ["pattern", "routing", "seed"]
 
     def test_load_axis_rejected(self):
         with pytest.raises(CampaignError, match="not a burst-campaign axis"):
@@ -391,27 +396,48 @@ class TestEmitterPreconditions:
 
 
 # ----------------------------------------------------------------------
-# Bug: run flags accepted and ignored by in-process kinds
+# Transient and burst points take every run flag
 # ----------------------------------------------------------------------
 
 class TestInProcessKindsRefuseRunFlags:
+    """Every run flag runs a transient or burst campaign and emits the
+    in-process rows.  The class and test names are those of the refusal
+    tests these cases replace (the two kinds used to run outside the
+    point executor and refuse every flag), kept so test IDs stay stable."""
+
     @pytest.mark.parametrize("name", ["fig6", "fig7"])
     @pytest.mark.parametrize("flags", [
         ["--workers", "2"], ["--store", "STORE"], ["--resume"],
-        ["--timeout", "0.01"], ["--snapshot-every", "100"], ["--telemetry"],
+        ["--timeout", "600"], ["--snapshot-every", "100"], ["--telemetry"],
+        ["--fabric"],
     ], ids=lambda flags: flags[0])
-    def test_cli_refuses(self, name, flags, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # --resume's default store lands here
+    def test_cli_refuses(self, name, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the default store lands here
         flags = [str(tmp_path / "store") if f == "STORE" else f for f in flags]
-        with pytest.raises(SystemExit, match="campaign error: .* run in-process"):
-            main(["campaign", "run", str(CAMPAIGNS / f"{name}.yaml"),
-                  "--scale", "tiny", *flags])
-        assert list(tmp_path.iterdir()) == []
+        argv = ["campaign", "run", str(CAMPAIGNS / f"{name}.yaml"), "--scale", "tiny",
+                *flags, "--out", str(tmp_path / "out")]
+        main(argv)
+        table, columns, expected = TINY_ROWS[name]
+        with open(tmp_path / "out" / f"{name}_{table}.csv") as f:
+            rows = [tuple(row[c] for c in columns) for row in csv.DictReader(f)]
+        assert rows == [tuple(str(v) for v in row) for row in expected]
+        if flags == ["--resume"]:
+            capsys.readouterr()
+            main(argv)
+            n = len(figure_campaign(name).expand())
+            assert f"{n} points: 0 run, {n} cached, 0 failed" in capsys.readouterr().out
 
     def test_library_call_refuses_a_store_backed_orchestrator(self, tmp_path):
+        """A store-backed run keeps every full result as a sidecar: the
+        second run resolves all of them from the store."""
         campaign = figure_campaign("fig6")
-        with pytest.raises(CampaignError, match="run in-process"):
-            run_campaign(campaign, Orchestrator(workers=0, store=ResultStore(tmp_path)))
+        store = ResultStore(tmp_path)
+        first = run_campaign(campaign, Orchestrator(workers=0, store=store))
+        again = run_campaign(campaign, Orchestrator(workers=0, store=store))
+        assert again.counts["cached"] == again.counts["total"] == 9
+        assert [r.to_jsonable() for r in again.results] == \
+               [r.to_jsonable() for r in first.results]
+        assert len(list((tmp_path / "transients").rglob("*.json"))) == 9
 
     def test_study_entry_points_take_scale_only(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["study", "--scale", "tiny"])

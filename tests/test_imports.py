@@ -44,8 +44,8 @@ PUBLIC_API = {
         "valiant_offset_bound",
     ],
     "repro.campaign": [
-        "BurstPoint", "CampaignError", "CampaignPoint", "CampaignRun",
-        "CampaignSpec", "EMITTERS", "TransientPoint", "deep_merge", "emit",
+        "CampaignError", "CampaignPoint", "CampaignRun", "CampaignSpec",
+        "EMITTERS", "deep_merge", "emit",
         "load_campaign", "load_mapping", "mean_ci", "run_campaign",
         "run_campaign_fabric", "t_critical", "validate_post",
     ],

@@ -22,7 +22,7 @@ from repro.engine.config import SimulationConfig
 from repro.engine.execute import execute_outcome, execute_point, kind_of
 from repro.engine.orchestrator import Orchestrator
 from repro.engine.runner import run_spec
-from repro.engine.runspec import RunSpec
+from repro.engine.runspec import RunSpec, TransientSpec
 from repro.snapshot.checkpoint import checkpoint_path, load_checkpoint
 
 
@@ -76,6 +76,21 @@ def scenario_spec() -> RunSpec:
     )
     cfg = SimulationConfig.small(h=2, routing="ofar", seed=19)
     return RunSpec.for_scenario(cfg, scenario)
+
+
+def transient_spec() -> RunSpec:
+    cfg = SimulationConfig.small(h=2, routing="ofar", seed=13)
+    return RunSpec.for_transient(
+        cfg, TransientSpec("UN", "ADV+2", switch=200, post=200), 0.3,
+        drain_margin=300,
+    )
+
+
+def burst_spec() -> RunSpec:
+    # Drains at cycle 149: checkpoints every 64 or 90 cycles land
+    # mid-backlog.
+    cfg = SimulationConfig.small(h=2, routing="ofar", seed=11)
+    return RunSpec.for_burst(cfg, "ADV+2", 4)
 
 
 class TestRunSpecCheckpointed:
@@ -182,7 +197,9 @@ class TestRunSpecCheckpointed:
         functools.partial(steady_spec, max_windows=4),
         workload_spec,
         scenario_spec,
-    ], ids=["steady", "max_windows", "workload", "scenario"])
+        transient_spec,
+        burst_spec,
+    ], ids=["steady", "max_windows", "workload", "scenario", "transient", "burst"])
     def test_one_executor_both_modes(self, tmp_path, make_spec):
         """``snapshot_every`` only adds segment boundaries: the same
         function yields byte-identical LoadPoints and sidecars with it
@@ -280,9 +297,12 @@ class TestOrchestratorCheckpointing:
         got = [point_doc(p) for p in orch.run_points(specs)]
         assert got == ref
 
-    def test_sigkilled_worker_resumes_from_checkpoint(self, tmp_path):
-        spec = steady_spec()
-        ref = point_doc(run_spec(spec))
+    @pytest.mark.parametrize("make_spec", [steady_spec, transient_spec, burst_spec],
+                             ids=["steady", "transient", "burst"])
+    def test_sigkilled_worker_resumes_from_checkpoint(self, tmp_path, make_spec):
+        spec = make_spec()
+        fresh = execute_outcome(spec)
+        ref = point_doc(fresh.point)
         store = ResultStore(tmp_path / "store")
         flag = str(tmp_path / "killed.flag")
         resume_log = str(tmp_path / "resume.log")
@@ -301,6 +321,9 @@ class TestOrchestratorCheckpointing:
             assert int(fh.read()) == 64
         # and the completed point cleaned up its checkpoint slot
         assert not checkpoint_path(store.root, spec.fingerprint()).exists()
+        kind = kind_of(spec)
+        if kind.sidecar is not None:  # the full result, e.g. a BurstResult
+            assert kind.decode(store.get_sidecar(kind.sidecar, spec)) == fresh.result
 
     def test_failed_point_checkpoint_cleared(self, tmp_path):
         # A point that exhausts its retry budget will never resume; its

@@ -10,6 +10,7 @@ store, the snapshot codec and the orchestrator's process boundary all
 lean on.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -22,7 +23,7 @@ from repro.cluster.spec import (
     ScenarioSpec,
 )
 from repro.engine.config import SimulationConfig
-from repro.engine.runspec import RunSpec
+from repro.engine.runspec import RunSpec, TransientSpec
 from repro.telemetry.config import TelemetryConfig
 from repro.workloads.spec import JobSpec, WorkloadSpec
 
@@ -116,6 +117,9 @@ RUN_SPECS = [
     RunSpec.for_scenario(CONFIGS[0], SCENARIO_SPECS[1]),
     RunSpec.for_scenario(CONFIGS[1], SCENARIO_SPECS[2],
                          telemetry=TELEMETRY_CONFIGS[0]),
+    # pattern switch (Fig. 6) and burst consumption (Fig. 7)
+    RunSpec.for_transient(CONFIGS[0], TransientSpec("UN", "ADV+1", 300, 400, 10), 0.2),
+    RunSpec.for_burst(CONFIGS[1], "MIX2", 7, max_cycles=5_000),
 ]
 
 
@@ -310,6 +314,30 @@ class TestRunSpecRoundTrip:
         other = WorkloadSpec(jobs=(JOB_SPECS[0],))
         b = RunSpec.for_workload(a.config, other, a.warmup, a.measure)
         assert a.fingerprint() != b.fingerprint()
+
+    def test_transient_and_burst_participate_in_fingerprint(self):
+        transient, burst = RUN_SPECS[-2:]
+        keys = [set(s.to_jsonable()) - set(RUN_SPECS[0].to_jsonable()) for s in RUN_SPECS]
+        assert keys[-2:] == [{"transient"}, {"burst"}]
+        assert not any("transient" in k or "burst" in k for k in keys[:-2])
+        switched = dataclasses.replace(
+            transient, transient=dataclasses.replace(transient.transient, after="UN"))
+        assert switched.fingerprint() != transient.fingerprint()
+        assert dataclasses.replace(burst, burst=8).fingerprint() != burst.fingerprint()
+
+    @pytest.mark.parametrize("make", [
+        lambda: TransientSpec("UN", "UN", 0, 10),
+        lambda: TransientSpec("UN", "UN", 10, 0),
+        lambda: TransientSpec("UN", "UN", 10, 10, bucket=0),
+        lambda: RunSpec.for_burst(CONFIGS[0], "UN", 0),
+        lambda: RunSpec(CONFIGS[0], "UN", 0.1, 0, 50, burst=3),  # burst at a load
+        lambda: RunSpec(CONFIGS[0], "transient", 0.1, 0, 10,  # measure < switch + post
+                        transient=TransientSpec("UN", "UN", 10, 10)),
+        lambda: RunSpec(CONFIGS[0], "UN", 0.0, 0, 50, burst=3, max_windows=2),
+    ])
+    def test_transient_and_burst_canonical_form(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_unknown_keys_rejected(self):
         data = RUN_SPECS[0].to_jsonable()
