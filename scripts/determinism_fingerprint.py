@@ -21,6 +21,15 @@ to alter behavior regenerates it::
     PYTHONPATH=src python scripts/determinism_fingerprint.py \\
         > scripts/determinism_fingerprint.reference.json
 
+``--check [REFERENCE]`` still writes the document to stdout, then
+compares it byte for byte with REFERENCE (default: the checked-in
+reference) and, on any difference, names each differing entry on
+stderr (``steady/pb/ADV+1/0.35: throughput '0.34' -> '0.35'``) and
+exits 1 — readable where a ``diff`` of the one-line scenario entry is
+not::
+
+    PYTHONPATH=src python scripts/determinism_fingerprint.py --check > plain.json
+
 ``--orchestrated`` routes every steady-state point through a
 store-backed :class:`~repro.engine.orchestrator.Orchestrator` (process
 pool + content-addressed cache in a temp dir), runs the grid twice —
@@ -66,6 +75,7 @@ import dataclasses
 import json
 import sys
 import tempfile
+from pathlib import Path
 
 from repro.engine.backend import available_backends, get_backend
 from repro.engine.config import SimulationConfig
@@ -74,6 +84,9 @@ from repro.engine.runspec import RunSpec
 
 #: Engine backend executing every run in this process (--backend).
 BACKEND = "object"
+
+#: The plain-mode document of the checked-in engine (--check default).
+REFERENCE = Path(__file__).with_name("determinism_fingerprint.reference.json")
 
 
 def _point_dict(pt) -> dict:
@@ -170,8 +183,13 @@ def steady_grid(run=None) -> dict:
                 cfg = SimulationConfig.small(h=2, routing=routing, seed=7, **overrides)
                 pt = run(cfg, pattern, load, warmup=300, measure=300)
                 out[f"{routing}/{pattern}/{load}"] = _point_dict(pt)
-    # A larger instance and the embedded-ring / multiring / read-port /
-    # congestion-control variants, OFAR only.
+    # One baseline point deep past saturation (VAL is bounded at 0.5),
+    # where most allocator passes end with stalled heads.
+    cfg = SimulationConfig.small(h=2, routing="val", seed=7)
+    pt = run(cfg, "ADV+1", 0.6, warmup=300, measure=300)
+    out["val/ADV+1/0.6"] = _point_dict(pt)
+    # A larger instance, the embedded-ring / multiring / read-port /
+    # congestion-control variants of OFAR, and a two-read-port baseline.
     variants = {
         "h3": SimulationConfig.small(h=3, routing="ofar", seed=3),
         "embedded": SimulationConfig.small(h=2, routing="ofar", escape="embedded", seed=5),
@@ -181,6 +199,9 @@ def steady_grid(run=None) -> dict:
         ),
         "congestion": SimulationConfig.small(
             h=2, routing="ofar", congestion_control=True, seed=5
+        ),
+        "readports2-pb": SimulationConfig.small(
+            h=2, routing="pb", input_read_ports=2, seed=5
         ),
     }
     for name, cfg in variants.items():
@@ -423,6 +444,47 @@ def scenario_section(mode: str, workers: int = 2) -> str:
     return _scenario_doc(result)
 
 
+def _leaves(node, path: tuple[str, ...] = ()):
+    """``(path, value)`` for every leaf of a fingerprint document; the
+    scenario entry's embedded JSON is opened so its fields are named too."""
+    if path == ("scenario",) and isinstance(node, str):
+        node = json.loads(node)
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (str(key),))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (str(i),))
+    else:
+        yield path, node
+
+
+def check(text: str, reference: Path) -> int:
+    """Compare the emitted document with ``reference`` byte for byte;
+    on a difference, name the differing entries on stderr and return 1."""
+    expected = reference.read_text()
+    if text == expected:
+        print(f"fingerprint matches {reference}", file=sys.stderr)
+        return 0
+    ref = dict(_leaves(json.loads(expected)))
+    new = dict(_leaves(json.loads(text)))
+    lines = []
+    for path in sorted(ref.keys() | new.keys()):
+        old_value = repr(ref[path]) if path in ref else "<absent>"
+        new_value = repr(new[path]) if path in new else "<absent>"
+        if old_value != new_value:  # reprs: NaN leaves compare equal
+            lines.append(f"{'/'.join(path[:-1])}: {path[-1]} "
+                         f"{old_value} -> {new_value}")
+    print(f"fingerprint differs from {reference} in {len(lines)} entries"
+          if lines else f"fingerprint differs from {reference} in layout only",
+          file=sys.stderr)
+    for line in lines[:40]:
+        print(f"  {line}", file=sys.stderr)
+    if len(lines) > 40:
+        print(f"  ... and {len(lines) - 40} more", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         description="emit the engine behavior fingerprint as JSON"
@@ -460,6 +522,12 @@ def main(argv: list[str] | None = None) -> None:
         help="engine backend executing every run; backends are bit-for-bit "
              "identical, so any choice must emit the same fingerprint",
     )
+    parser.add_argument(
+        "--check", nargs="?", const=REFERENCE, type=Path, metavar="REFERENCE",
+        help="also compare the document byte for byte with REFERENCE "
+             "(default: the checked-in reference); name every differing "
+             "entry on stderr and exit 1 on any difference",
+    )
     args = parser.parse_args(argv)
     global BACKEND
     BACKEND = args.backend
@@ -471,9 +539,7 @@ def main(argv: list[str] | None = None) -> None:
         mode = ("orchestrated" if args.orchestrated else
                 "telemetry" if args.telemetry else
                 "snapshot" if args.snapshot else "plain")
-        doc = {"scenario": scenario_section(mode, args.workers)}
-        json.dump(doc, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
+        emit({"scenario": scenario_section(mode, args.workers)}, args.check)
         return
 
     if args.orchestrated:
@@ -497,15 +563,23 @@ def main(argv: list[str] | None = None) -> None:
         steady = steady_grid()
         mode = "plain"
 
-    doc = {
+    emit({
         "steady": steady,
         "drain": drain_and_counters(telemetry=args.telemetry,
                                     snapshot=args.snapshot),
         "workload": workload_section(mode, args.workers),
         "scenario": scenario_section(mode, args.workers),
-    }
-    json.dump(doc, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    }, args.check)
+
+
+def emit(doc: dict, reference: Path | None) -> None:
+    """Write the canonical document to stdout; with ``reference``, exit
+    with :func:`check`'s status."""
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    if reference is not None:
+        sys.stdout.flush()
+        sys.exit(check(text, reference))
 
 
 if __name__ == "__main__":

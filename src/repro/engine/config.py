@@ -170,6 +170,8 @@ class SimulationConfig:
             raise ValueError("allocator_iterations must be >= 1")
         if self.input_read_ports < 1:
             raise ValueError("input_read_ports must be >= 1")
+        if self.pb_update_period is not None and self.pb_update_period < 1:
+            raise ValueError("pb_update_period must be >= 1 (or None)")
         if self.ofar_transit_misroute not in ("local-first", "global-first"):
             raise ValueError(
                 "ofar_transit_misroute must be 'local-first' or 'global-first'"

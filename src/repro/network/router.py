@@ -16,7 +16,8 @@ Model summary (all paper defaults):
   input port) and the output stage (input selection per output port);
 - the routing decision of a head packet is (re-)evaluated on every
   allocation iteration of every cycle while the packet waits, which is
-  what enables OFAR's on-the-fly adaptivity.
+  what enables OFAR's on-the-fly adaptivity (routings with one fixed
+  request stop after a collision-free iteration, see ``allocate``).
 """
 
 from __future__ import annotations
@@ -398,6 +399,17 @@ class Router:
         out_vc, kind, cycle)`` is invoked for every grant; the network
         layer executes the transfer (credit bookkeeping, event
         scheduling, metric updates).
+
+        The iterations stop early after a pass without an input or
+        output collision if no head stalled, or if the routing sets
+        ``stall_is_final``.  Such a routing's only request is one fixed
+        (port, VC); within a cycle grants only take credits, set
+        ``busy_until`` and claim ports, so a head that stalled stays
+        stalled, and a collision-free pass has no losers.  Every head
+        the next pass could ask is then matched, read-busy or stalled,
+        and it would request nothing — for any read-port count.  After
+        a collision the loop goes on: an input-stage loser may win
+        elsewhere.
         """
         pending = self.pending
         if not pending:
@@ -428,11 +440,13 @@ class Router:
                 return 0
             network.execute_grant(self, in_port, in_vc, req[0], req[1], req[2], cycle)
             return 1
+        # Both sets are empty on entry: every exit below clears them.
         claimed_out = self._claimed_out
-        matched_vc = self._matched_in  # (port, vc) pairs granted this cycle
-        claimed_out.clear()
-        matched_vc.clear()
+        # (port, vc) pairs granted this cycle; with one read port the
+        # ``ready`` mask below already excludes a granted port.
+        matched_vc = self._matched_in
         execute_grant = network.execute_grant
+        stall_is_final = getattr(routing, "stall_is_final", False)
         grants = 0
         # Read budget: bit p of ``ready`` is set while input port p can
         # still start a transfer this cycle.  It is computed the first
@@ -456,7 +470,7 @@ class Router:
             seen_out = 0
             reqs.clear()
             for key in pending:
-                if key in matched_vc:
+                if not single_read and key in matched_vc:
                     continue
                 in_port, in_vc = key
                 bit = 1 << in_port
@@ -491,23 +505,22 @@ class Router:
             winners = self._arbitrate(reqs) if conflict else reqs
             for in_port, in_vc, out_port, out_vc, kind in winners:
                 claimed_out.add(out_port)
-                matched_vc.add((in_port, in_vc))
                 if single_read:
                     ready &= ~(1 << in_port)
                 else:
+                    matched_vc.add((in_port, in_vc))
                     left = reads_left[in_port] - 1
                     reads_left[in_port] = left
                     if not left:
                         ready &= ~(1 << in_port)
                 grants += 1
                 execute_grant(self, in_port, in_vc, out_port, out_vc, kind, cycle)
-            if not conflict and not stalled:
-                # Every unmatched head was granted: the next iteration
-                # could only walk matched / read-busy / empty entries and
-                # break with no requests — skip it.  (A stalled head may
-                # become routable after these grants, e.g. a relative
-                # misroute threshold that loosens as the minimal channel
-                # drains credits, so then the next iteration re-asks it.)
+            if not conflict and (not stalled or stall_is_final):
+                # No request lost, and a re-ask of the stalled heads
+                # could only stall again (see the docstring): skip the
+                # pass.  Otherwise a stalled head may become routable
+                # after these grants, e.g. OFAR's relative misroute
+                # threshold loosens as the minimal channel's queue grows.
                 break
         claimed_out.clear()
         matched_vc.clear()

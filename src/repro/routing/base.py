@@ -5,7 +5,8 @@ the head packet of a given input (port, VC), which single output request
 ``(out_port, out_vc, kind)`` should be placed this iteration — or none?
 The allocator re-asks on every iteration of every cycle while the packet
 waits, so adaptive algorithms (OFAR) can change their answer as ports
-get claimed, credits drain, and occupancies move.
+get claimed, credits drain, and occupancies move; a routing whose answer
+cannot change within a cycle sets ``stall_is_final`` to skip the re-ask.
 
 Shared machinery:
 
@@ -22,7 +23,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
-from repro.network.router import KIND_MIN, Router
+from repro.network.router import CODE_NODE, KIND_MIN, Router
 from repro.topology.dragonfly import PortKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,6 +36,11 @@ class RoutingAlgorithm(ABC):
 
     #: Human-readable mechanism name (matches the config string).
     name: str = "?"
+
+    #: The allocator may stop after a collision-free pass even if some
+    #: head stalled (see ``Router.allocate``).  True for routings whose
+    #: only request is one fixed (port, VC) per head.
+    stall_is_final = False
 
     def __init__(self, network: "Network", rng: random.Random) -> None:
         self.network = network
@@ -111,17 +117,29 @@ class RoutingAlgorithm(ABC):
         return pkt.global_hops
 
     def route_ordered_minimal(
-        self, rt: Router, pkt: "Packet", cycle: int
+        self, rt: Router, in_port: int, in_vc: int, pkt: "Packet", cycle: int
     ) -> tuple[int, int, int] | None:
         """Request the minimal output on the ordered VC, or stall.
 
-        This is the whole per-hop behaviour of MIN, VAL, UGAL-L and PB:
-        their only routing freedom is exercised at injection time.
+        This is the whole per-hop behaviour of MIN, VAL, UGAL-L and PB
+        (their only routing freedom is exercised at injection time), so
+        they bind it directly as ``route``.  It is ``min_output`` +
+        ``ordered_vc`` + ``min_available`` in one frame: the memo hit,
+        the base VC map and the port test are inlined, as
+        ``OFARRouting.route`` inlines its helpers.
         """
-        port = self.min_output(rt, pkt)
+        if pkt.cache_rid == rt.rid and pkt.cache_ig == pkt.intermediate_group:
+            port = pkt.cache_port
+        else:
+            port = self.min_output(rt, pkt)
         ch = rt.out[port]
-        vc = self.ordered_vc(pkt, ch.kind)
-        if rt.min_available(port, cycle, vc, pkt.size):
+        vc = 0 if ch.kind_code == CODE_NODE else pkt.global_hops
+        if (
+            not ch.failed
+            and ch.busy_until <= cycle
+            and port not in rt._claimed_out
+            and ch.credits[vc] >= pkt.size
+        ):
             return (port, vc, KIND_MIN)
         return None
 

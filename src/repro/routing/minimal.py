@@ -10,7 +10,6 @@ from a group contends for a single global link (throughput bound
 
 from __future__ import annotations
 
-from repro.network.router import Router
 from repro.routing.base import RoutingAlgorithm
 
 
@@ -18,6 +17,5 @@ class MinimalRouting(RoutingAlgorithm):
     """The MIN mechanism of §V."""
 
     name = "min"
-
-    def route(self, rt: Router, in_port: int, in_vc: int, pkt, cycle: int):
-        return self.route_ordered_minimal(rt, pkt, cycle)
+    stall_is_final = True
+    route = RoutingAlgorithm.route_ordered_minimal

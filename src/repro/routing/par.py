@@ -37,6 +37,10 @@ class PARRouting(RoutingAlgorithm):
     """Progressive Adaptive Routing (needs 4 local / 2 global VCs)."""
 
     name = "par"
+    # ``_maybe_divert`` acts once per router, before the first request
+    # (the memo it checks is written by that request), so a re-ask is
+    # the same fixed (port, VC) request.
+    stall_is_final = True
 
     def ordered_vc(self, pkt, out_kind: PortKind) -> int:
         """Per-class hop-index VC map (one more local VC than VAL)."""

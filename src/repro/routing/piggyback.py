@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from repro.network.router import Router
 from repro.routing.base import RoutingAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,6 +38,8 @@ class PiggybackRouting(RoutingAlgorithm):
     """The PB mechanism of §V."""
 
     name = "pb"
+    stall_is_final = True
+    route = RoutingAlgorithm.route_ordered_minimal
 
     def __init__(self, network: "Network", rng: random.Random) -> None:
         super().__init__(network, rng)
@@ -94,6 +95,3 @@ class PiggybackRouting(RoutingAlgorithm):
             nonmin = q_min > 2 * q_val + self.config.ugal_offset
         if nonmin:
             pkt.intermediate_group = mg
-
-    def route(self, rt: Router, in_port: int, in_vc: int, pkt, cycle: int):
-        return self.route_ordered_minimal(rt, pkt, cycle)

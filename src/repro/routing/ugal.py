@@ -18,7 +18,6 @@ both as a building block and as an extra baseline.
 
 from __future__ import annotations
 
-from repro.network.router import Router
 from repro.routing.base import RoutingAlgorithm
 
 
@@ -26,6 +25,8 @@ class UGALRouting(RoutingAlgorithm):
     """UGAL-L as described with the dragonfly (ISCA 2008)."""
 
     name = "ugal"
+    stall_is_final = True
+    route = RoutingAlgorithm.route_ordered_minimal
 
     def on_inject(self, pkt) -> None:
         if pkt.dst_group == pkt.src_group:
@@ -38,6 +39,3 @@ class UGALRouting(RoutingAlgorithm):
         )
         if q_min > 2 * q_val + self.config.ugal_offset:
             pkt.intermediate_group = mg
-
-    def route(self, rt: Router, in_port: int, in_vc: int, pkt, cycle: int):
-        return self.route_ordered_minimal(rt, pkt, cycle)

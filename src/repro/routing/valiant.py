@@ -12,7 +12,6 @@ local hop ``l2`` concentrates on single local links.
 
 from __future__ import annotations
 
-from repro.network.router import Router
 from repro.routing.base import RoutingAlgorithm
 
 
@@ -20,6 +19,8 @@ class ValiantRouting(RoutingAlgorithm):
     """The VAL mechanism of §V."""
 
     name = "val"
+    stall_is_final = True
+    route = RoutingAlgorithm.route_ordered_minimal
 
     def on_inject(self, pkt) -> None:
         # Traffic internal to the source group is routed minimally:
@@ -28,6 +29,3 @@ class ValiantRouting(RoutingAlgorithm):
         # Valiant to inter-group traffic).
         if pkt.dst_group != pkt.src_group:
             pkt.intermediate_group = self.pick_intermediate_group(pkt)
-
-    def route(self, rt: Router, in_port: int, in_vc: int, pkt, cycle: int):
-        return self.route_ordered_minimal(rt, pkt, cycle)

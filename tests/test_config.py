@@ -63,6 +63,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="allocator_iterations"):
             SimulationConfig.small(h=2, allocator_iterations=iterations)
 
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_pb_update_period_must_be_positive(self, period):
+        """PB used to refresh every cycle as if the period were 1."""
+        with pytest.raises(ValueError, match="pb_update_period"):
+            SimulationConfig.small(h=2, routing="pb", pb_update_period=period)
+
+    def test_pb_update_period_defaults_to_local_latency(self):
+        cfg = SimulationConfig.small(h=2, routing="pb")
+        assert cfg.pb_update_period is None
+        assert cfg.pb_period == cfg.local_latency
+        assert SimulationConfig.small(h=2, routing="pb", pb_update_period=1).pb_period == 1
+
     def test_ofar_allows_reduced_vcs(self):
         """The Fig. 9 configuration must be constructible."""
         cfg = SimulationConfig(

@@ -303,6 +303,64 @@ class TestAllocatorConflictFreedom:
             cycle += step
 
 
+class TestEarlyExitNeverChangesAGrant:
+    """For a fixed-request routing (at most one preference per head),
+    stopping after a collision-free pass with stalled heads
+    (``stall_is_final``) grants exactly what running every iteration
+    grants: same grants in the same order, same arbiter state, read
+    slots, credits and pending order, cycle after cycle."""
+
+    @given(
+        read_ports=st.integers(1, 3),
+        iterations=st.integers(1, 3),
+        credits=st.sampled_from([8, 16, 32]),
+        heads=st.dictionaries(
+            key_st,
+            st.tuples(st.integers(1, 3), st.lists(key_st, max_size=1)),
+            min_size=1,
+            max_size=PORTS * VCS,
+        ),
+        busy=st.lists(st.integers(0, 8), min_size=PORTS * 3, max_size=PORTS * 3),
+        steps=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_grants_with_and_without(
+        self, read_ports, iterations, credits, heads, busy, steps
+    ):
+        prefs = {key: want for key, (_, want) in heads.items()}
+        runs = []
+        for final in (False, True):
+            rt = mk_router(num_inputs=PORTS, num_vcs=VCS, capacity=1024,
+                           iterations=iterations, read_ports=read_ports)
+            for port in range(PORTS):
+                rt.in_busy[port] = busy[port * 3:port * 3 + read_ports]
+                rt.out[port].credits = [credits] * VCS  # drained by grants
+            pid = 0
+            for key, (packets, _) in heads.items():
+                for _ in range(packets):
+                    rt.in_bufs[key[0]][key[1]].push(mk_packet(pid))
+                    pid += 1
+                rt.pending.add(key)
+            routing = PreferenceRouting(prefs)
+            routing.stall_is_final = final
+            net = RecordingNetwork()
+            trace = []
+            cycle = 0
+            for step in steps:
+                trace.append((
+                    rt.allocate(cycle, routing, net),
+                    list(net.grants),
+                    {p: dict(a._last_grant) for p, a in rt._in_arbiters.items()},
+                    {p: dict(a._last_grant) for p, a in rt._out_arbiters.items()},
+                    [list(slots) for slots in rt.in_busy],
+                    [list(ch.credits) for ch in rt.out],
+                    list(rt.pending),
+                ))
+                cycle += step
+            runs.append(trace)
+        assert runs[0] == runs[1]
+
+
 class TestMultiReadArbitration:
     def test_input_lrs_alternates_between_colliding_vcs(self):
         """Two VCs of a 2-read port want the same output: one wins per

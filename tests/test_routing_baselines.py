@@ -1,9 +1,14 @@
-"""Behavioural tests for MIN, VAL, UGAL-L: path shape and VC order."""
+"""Behavioural tests for MIN, VAL, UGAL-L: path shape, VC order and the
+one-call route."""
+
+import random
 
 import pytest
 
 from repro.engine.config import SimulationConfig
 from repro.engine.simulator import Simulator
+from repro.network.packet import Packet
+from repro.network.router import KIND_MIN
 from repro.routing.base import RoutingAlgorithm
 from repro.topology.dragonfly import PortKind
 
@@ -171,3 +176,84 @@ class TestOrderedVCs:
         sim.generator = BernoulliTraffic(pattern, 0.3, 8, sim.network.topo.num_nodes, 11)
         sim.run(400)
         assert violations == []
+
+
+def _clone(pkt):
+    twin = Packet(pkt.pid, pkt.src, pkt.dst, pkt.size, pkt.created_cycle,
+                  pkt.dst_router, pkt.dst_group, pkt.src_group)
+    for slot in Packet.__slots__:
+        setattr(twin, slot, getattr(pkt, slot))
+    return twin
+
+
+def _composed_route(algo, rt, pkt, cycle):
+    """The helper composition the one-call route inlines."""
+    port = algo.min_output(rt, pkt)
+    vc = algo.ordered_vc(pkt, rt.out[port].kind)
+    if rt.min_available(port, cycle, vc, pkt.size):
+        return (port, vc, KIND_MIN)
+    return None
+
+
+class TestOneCallRoute:
+    """``route`` of the VC-ordered routings equals ``min_output`` +
+    ``ordered_vc`` + ``min_available`` — same request, same packet memo
+    writes — over random channel state and packet headers."""
+
+    @pytest.mark.parametrize("routing", ["min", "val", "ugal", "pb", "par"])
+    def test_route_equals_helper_composition(self, routing):
+        overrides = {"local_vcs": 4} if routing == "par" else {}
+        sim = Simulator(SimulationConfig.small(h=2, routing=routing, **overrides))
+        algo, net, topo = sim.routing, sim.network, sim.network.topo
+        rng = random.Random(routing)
+        seen = set()
+        for trial in range(600):
+            rt = rng.choice(net.routers)
+            src = rng.randrange(topo.num_nodes)
+            dst = rng.choice([n for n in range(topo.num_nodes) if n != src
+                              and (topo.node_router(n) == rt.rid or rng.random() < 0.2)])
+            pkt = sim.create_packet(src, dst)
+            live = [g for g in range(topo.num_groups)
+                    if g not in (pkt.src_group, pkt.dst_group)]
+            pkt.intermediate_group = rng.choice([-1, -1, rt.group, rng.choice(live)])
+            # The port route will use: the memo's on a hit (possibly a
+            # port the oracle would not pick, to prove the hit is used).
+            hit = rng.random() < 0.5
+            if hit:
+                port = rng.choice([p for p, ch in enumerate(rt.out) if ch is not None
+                                   and ch.kind is not PortKind.RING])
+                pkt.cache_rid, pkt.cache_ig, pkt.cache_port = (
+                    rt.rid, pkt.intermediate_group, port)
+            else:
+                pkt.cache_rid, pkt.cache_ig, pkt.cache_port = rng.choice([
+                    (-1, -2, -1),
+                    (rt.rid, pkt.intermediate_group + 1, 0),
+                    ((rt.rid + 1) % topo.num_routers, pkt.intermediate_group, 0),
+                ])
+                port = algo.min_output(rt, _clone(pkt))
+            ch = rt.out[port]
+            # Headers whose ordered VC exists on that channel (a packet
+            # ejects after up to two global hops, on VC 0); PAR's local
+            # VC follows local_hops, not global_hops.
+            pkt.global_hops = rng.randrange(3 if ch.kind is PortKind.NODE else ch.num_vcs)
+            if routing == "par":
+                pkt.global_hops = 1  # past the source group: no diversion
+                pkt.local_hops = rng.choice([h for h in range(ch.num_vcs) if h != 1])
+            ch.credits = [rng.choice([0, pkt.size - 1, pkt.size, ch.capacity])
+                          for _ in ch.credits]
+            ch.busy_until = sim.cycle + rng.choice([-3, 0, 1, 5])
+            ch.failed = rng.random() < 0.1
+            rt._claimed_out.clear()
+            if rng.random() < 0.2:
+                rt._claimed_out.add(port)
+            got_pkt, want_pkt = _clone(pkt), _clone(pkt)
+            got = algo.route(rt, 0, 0, got_pkt, sim.cycle)
+            want = _composed_route(algo, rt, want_pkt, sim.cycle)
+            assert got == want, (trial, routing)
+            assert [getattr(got_pkt, s) for s in Packet.__slots__] == \
+                [getattr(want_pkt, s) for s in Packet.__slots__]
+            if routing == "par" and got is not None and ch.kind is PortKind.LOCAL:
+                assert got[1] == pkt.local_hops != pkt.global_hops
+            seen.add((ch.kind, hit, got is None))
+        kinds = {PortKind.NODE, PortKind.LOCAL, PortKind.GLOBAL}
+        assert {(k, h, s) for k in kinds for h in (True, False) for s in (True, False)} <= seen
