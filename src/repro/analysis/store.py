@@ -155,6 +155,14 @@ class ResultStore:
         self.stats.hits += 1
         return point
 
+    def get_many(self, specs: list[RunSpec]) -> list[LoadPoint | None]:
+        """:meth:`get` for each spec, in order (same misses and stats).
+
+        The batch read seam: the remote store answers a whole grid's
+        readback in one round trip where per-point gets cost one each.
+        """
+        return [self.get(spec) for spec in specs]
+
     def put(self, spec: RunSpec, point: LoadPoint, wall_time: float | None = None) -> Path:
         """Persist one completed point atomically (tmp file + rename)."""
         fingerprint = spec.fingerprint()

@@ -4,9 +4,10 @@ Three layers, each thin:
 
 - :class:`CoordinatorClient` — the JSON/HTTP transport.  One method,
   :meth:`~CoordinatorClient.call`, POSTs (or GETs) a route under
-  ``/api/v1/`` and retries connection-level failures with exponential
-  backoff until a **retry window** elapses — that window is what rides
-  out a coordinator restart.  When it runs dry the call raises
+  ``/api/v1/`` over a kept-alive connection and retries
+  connection-level failures with exponential backoff until a **retry
+  window** elapses — that window is what rides out a coordinator
+  restart.  When it runs dry the call raises
   :class:`CoordinatorUnreachable` (a
   :class:`~repro.fabric.lease.FabricBackendError`), which the worker
   loop treats as "fall out cleanly".  A reply the coordinator *did*
@@ -33,17 +34,20 @@ Three layers, each thin:
   completes, :meth:`RemoteStore.put` uploads the result *and* the
   point's spooled sidecars in one request, so the coordinator's store
   ends up entry-for-entry identical to a shared-directory drain.
+  :meth:`RemoteStore.get_many` reads a drained grid back in one
+  request.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import socket
+import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from repro.analysis.store import ResultStore
 from repro.engine.metrics import LoadPoint
@@ -79,6 +83,12 @@ class CoordinatorClient:
         (refused, reset, DNS, timeout) before raising
         :class:`CoordinatorUnreachable`.  Sized to ride out a
         coordinator restart; lower it in tests.
+
+    Connections are kept alive between calls: a call takes an idle one
+    (or opens one) and hands it back once its reply is read, so each
+    thread in flight at once — the worker's main thread and its lease
+    heartbeat — has a socket of its own, and sequential calls skip the
+    TCP handshake.  A connection that fails is closed, never reused.
     """
 
     def __init__(
@@ -90,36 +100,37 @@ class CoordinatorClient:
         self.base = url.rstrip("/")
         self.timeout = timeout
         self.retry_window = retry_window
+        parts = urlsplit(self.base)
+        self._address = (parts.hostname, parts.port)
+        self._path = parts.path + API_PREFIX
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def call(self, route: str, body: dict | None = None) -> dict:
         """One round trip: POST ``body`` (or GET when None) to ``route``."""
-        url = f"{self.base}{API_PREFIX}{route}"
         payload = None if body is None else json.dumps(body).encode()
         deadline = time.monotonic() + self.retry_window
         delay = 0.1
         while True:
-            request = urllib.request.Request(
-                url,
-                data=payload,
-                headers={"Content-Type": "application/json"},
-                method="GET" if payload is None else "POST",
-            )
+            with self._idle_lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                conn = http.client.HTTPConnection(*self._address, timeout=self.timeout)
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    return json.loads(resp.read().decode())
-            except urllib.error.HTTPError as exc:
-                # The coordinator spoke: deterministic failure, no retry.
-                try:
-                    detail = json.loads(exc.read().decode()).get("error", "")
-                except (ValueError, OSError):
-                    detail = ""
-                raise CoordinatorError(
-                    f"{route}: HTTP {exc.code} from {self.base}"
-                    + (f": {detail}" if detail else "")
-                ) from None
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+                conn.request(
+                    "GET" if payload is None else "POST",
+                    self._path + route,
+                    body=payload,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                status, text = resp.status, resp.read().decode()
+                if status < 400:
+                    reply = json.loads(text)
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 # Connection-level trouble (or a half-written reply from
                 # a dying server): back off and retry inside the window.
+                conn.close()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise CoordinatorUnreachable(
@@ -128,6 +139,27 @@ class CoordinatorClient:
                     ) from None
                 time.sleep(min(delay, remaining))
                 delay = min(2.0, delay * 2)
+                continue
+            with self._idle_lock:
+                self._idle.append(conn)
+            if status < 400:
+                return reply
+            # The coordinator spoke: deterministic failure, no retry.
+            try:
+                detail = json.loads(text).get("error", "")
+            except (ValueError, AttributeError):
+                detail = ""
+            raise CoordinatorError(
+                f"{route}: HTTP {status} from {self.base}"
+                + (f": {detail}" if detail else "")
+            )
+
+    def close(self) -> None:
+        """Close the kept-alive connections; a later call opens anew."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def ping(self) -> dict:
         """Handshake; raises on protocol mismatch."""
@@ -298,13 +330,25 @@ class RemoteStore(ResultStore):
 
     # -- authoritative reads/writes (remote) ---------------------------
     def get(self, spec: RunSpec) -> LoadPoint | None:
-        reply = self.client.call("get", {"spec": spec.to_jsonable()})
-        data = reply.get("point")
-        if data is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return LoadPoint.from_jsonable(data)
+        return self.get_many([spec])[0]
+
+    def get_many(self, specs: list[RunSpec]) -> list[LoadPoint | None]:
+        """Every spec's cached point in one round trip, in spec order;
+        the coordinator applies :meth:`ResultStore.get` to each."""
+        if not specs:
+            return []
+        reply = self.client.call(
+            "get_many", {"specs": [spec.to_jsonable() for spec in specs]}
+        )
+        points: list[LoadPoint | None] = []
+        for data in reply["points"]:
+            if data is None:
+                self.stats.misses += 1
+                points.append(None)
+            else:
+                self.stats.hits += 1
+                points.append(LoadPoint.from_jsonable(data))
+        return points
 
     def put(self, spec: RunSpec, point: LoadPoint, wall_time: float | None = None):
         fingerprint = spec.fingerprint()
@@ -375,12 +419,11 @@ def open_coordinator(
     :class:`~repro.fabric.queue.WorkQueue` (``store=``, ``leases=``) or
     :func:`~repro.fabric.worker.drain` (``store=``, ``leases=``).
     """
-    client = CoordinatorClient(url, timeout=timeout, retry_window=retry_window)
     # Handshake with a short window: a wrong URL should fail in seconds,
     # while the long window is reserved for riding out restarts mid-run.
-    CoordinatorClient(
-        url, timeout=timeout, retry_window=min(5.0, retry_window)
-    ).ping()
+    client = CoordinatorClient(url, timeout=timeout, retry_window=min(5.0, retry_window))
+    client.ping()
+    client.retry_window = retry_window
     Path(spool).mkdir(parents=True, exist_ok=True)
     store = RemoteStore(client, spool)
     leases = HTTPLeaseManager(client, worker_id=worker_id, ttl=lease_ttl)

@@ -13,7 +13,7 @@ local disk and serves the whole fabric surface over JSON/HTTP:
 - **store traffic**: batch resolution probes, result uploads (with the
   point's full-result sidecars in the same request, so an entry
   and its provenance land together), failure records, and cached-point
-  downloads;
+  downloads (a whole grid's points in one ``get_many`` request);
 - **worker stats** upload/list/prune for ``fabric status`` and
   ``fabric watch``.
 
@@ -31,6 +31,14 @@ write — three properties fall out for free:
   to one drained over a shared directory — both are produced by the
   same ``LeaseManager``/``ResultStore`` code paths.
 
+Connections are HTTP/1.1 keep-alive: a client reuses one socket for
+all its calls, and each open socket holds one handler thread here.  The
+handler disables Nagle's algorithm because it writes a reply's headers
+and body separately; with Nagle on, the body waits for the client's
+delayed ACK of the headers (about 40 ms on Linux) on every round trip
+after a connection's first.  :meth:`FabricCoordinator.server_close`
+shuts the open sockets down, so a stopped coordinator stops answering.
+
 Safety under concurrency: the handler is a ``ThreadingHTTPServer``, and
 every mutation bottoms out in the file backend's atomic primitives
 (``O_CREAT|O_EXCL`` claims, tmp+rename writes) — the filesystem
@@ -43,6 +51,7 @@ it, so a worker with a skewed clock cannot steal a live lease.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -57,7 +66,8 @@ from repro.fabric.lease import DEFAULT_TTL, Lease, LeaseManager
 API_PREFIX = "/api/v1/"
 
 #: Protocol version echoed by ``ping``; clients refuse a mismatch.
-PROTOCOL = 1
+#: Version 2 reads cached points back through ``get_many``.
+PROTOCOL = 2
 
 
 class _Routes:
@@ -184,10 +194,14 @@ class _Routes:
         self.store.put_sidecar(str(body["kind"]), spec, body["payload"])
         return {"ok": True}
 
-    def post_get(self, body: dict) -> dict:
-        spec = RunSpec.from_jsonable(body["spec"])
-        point = self.store.get(spec)
-        return {"point": None if point is None else point.to_jsonable()}
+    def post_get_many(self, body: dict) -> dict:
+        specs = [RunSpec.from_jsonable(data) for data in body["specs"]]
+        return {
+            "points": [
+                None if point is None else point.to_jsonable()
+                for point in self.store.get_many(specs)
+            ]
+        }
 
     def post_get_sidecar(self, body: dict) -> dict:
         spec = RunSpec.from_jsonable(body["spec"])
@@ -208,6 +222,8 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin JSON plumbing around :class:`_Routes`."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes (see the module docstring).
+    disable_nagle_algorithm = True
     server: "FabricCoordinator"
 
     # Silence the default per-request stderr chatter; `fabric serve -v`
@@ -225,6 +241,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(blob)
 
     def _dispatch(self, method: str) -> None:
+        # Read the body before any reply: bytes left unread would be
+        # parsed as the next request on this kept-alive connection.
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            self._reply(400, {"error": "bad Content-Length"})
+            return
+        raw = self.rfile.read(length)
         if not self.path.startswith(API_PREFIX):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
@@ -234,8 +261,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown route {route!r}"})
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = json.loads(self.rfile.read(length)) if length else {}
+            body = json.loads(raw) if raw else {}
             self._reply(200, handler(body))
         except (KeyError, TypeError, ValueError) as exc:
             self._reply(400, {"error": f"bad request: {exc!r}"})
@@ -255,6 +281,11 @@ class FabricCoordinator(ThreadingHTTPServer):
     ``allow_reuse_address`` (inherited default) lets a restarted
     coordinator rebind its old port immediately — the fleet's retry
     loops reconnect without operator involvement.
+
+    Every accepted socket is tracked until its handler thread ends, so
+    :meth:`shutdown` and :meth:`server_close` can shut down the idle
+    keep-alive connections whose handler threads would otherwise go on
+    serving after the listening socket is gone.
     """
 
     daemon_threads = True
@@ -270,11 +301,42 @@ class FabricCoordinator(ThreadingHTTPServer):
         self.routes = _Routes(Path(store_root))
         self.store_root = Path(store_root)
         self.verbose = verbose
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def _close_connections(self) -> None:
+        """Shut every open connection down; its handler thread then
+        reads EOF and exits instead of serving the next request."""
+        with self._open_lock:
+            open_sockets = list(self._open)
+        for sock in open_sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler thread
+
+    def shutdown(self) -> None:
+        super().shutdown()
+        self._close_connections()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._close_connections()
 
     def start_background(self) -> threading.Thread:
         """Serve from a daemon thread (tests, embedded use)."""

@@ -224,7 +224,6 @@ class FabricWorker:
         ``snapshot_every`` the current point runs to completion first.
         """
         self._started = time.monotonic()
-        self._touch_stats()
         previous_handler = None
         try:
             previous_handler = signal.signal(
@@ -234,6 +233,7 @@ class FabricWorker:
             pass  # not the main thread: preemption via self.preempted only
         backend_error = ""
         try:
+            self._touch_stats()
             while not self.preempted.is_set():
                 if (
                     self.max_points is not None
@@ -463,19 +463,18 @@ def drain(
             execute=execute,
         )
         summary = worker.run()
+    try:
+        points = store.get_many(specs)
+    except FabricBackendError as exc:
+        # Coordinator unreachable at readback: report every point as
+        # failed at once (one retry window, not one per point) instead
+        # of stack-tracing out.
+        error = f"result unavailable, backend unreachable: {exc}"
+        return [PointResult(spec, STATUS_FAILED, error=error, attempts=0)
+                for spec in specs], summary
     results = []
-    for spec in specs:
-        try:
-            point = store.get(spec)
-        except FabricBackendError as exc:
-            # Coordinator unreachable at readback: report the points we
-            # cannot fetch as failed instead of stack-tracing out.
-            results.append(PointResult(
-                spec, STATUS_FAILED,
-                error=f"result unavailable, backend unreachable: {exc}",
-                attempts=0,
-            ))
-            continue
+    backend_gone = False
+    for spec, point in zip(specs, points):
         if point is not None:
             status = STATUS_DONE if spec.fingerprint() in summary.completed \
                 else STATUS_CACHED
@@ -484,10 +483,12 @@ def drain(
                 attempts=1 if status == STATUS_DONE else 0,
             ))
             continue
-        try:
-            failure = store.get_sidecar(FAILURE_KIND, spec) or {}
-        except FabricBackendError:
-            failure = {}
+        failure = {}
+        if not backend_gone:
+            try:
+                failure = store.get_sidecar(FAILURE_KIND, spec) or {}
+            except FabricBackendError:
+                backend_gone = True  # skip the rest, one window is enough
         results.append(PointResult(
             spec, STATUS_FAILED,
             error=failure.get("error", "point unresolved after fabric drain"),

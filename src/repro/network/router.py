@@ -518,9 +518,12 @@ class Router:
             if not conflict and (not stalled or stall_is_final):
                 # No request lost, and a re-ask of the stalled heads
                 # could only stall again (see the docstring): skip the
-                # pass.  Otherwise a stalled head may become routable
-                # after these grants, e.g. OFAR's relative misroute
-                # threshold loosens as the minimal channel's queue grows.
+                # pass.  Otherwise an input-stage loser may win
+                # elsewhere.  A stalled OFAR head cannot: with one
+                # packet size no grant this cycle frees its minimal
+                # channel's data VCs, and its misroute and ring
+                # candidates only shrink.  It is still re-asked because
+                # each ask counts ``ring_entry_stalls`` (state_digest).
                 break
         claimed_out.clear()
         matched_vc.clear()

@@ -232,6 +232,154 @@ class TestRemoteStore:
 
 
 # ----------------------------------------------------------------------
+# get_many: a whole readback in one call, the same answers as n gets
+# ----------------------------------------------------------------------
+
+def _mixed_store(root) -> list[RunSpec]:
+    """Five specs over ``root``: hit, missing, corrupt, hit, and a valid
+    entry filed under a foreign fingerprint (spec mismatch)."""
+    hit_a, missing, corrupt, hit_b, foreign = [spec(seed=s) for s in range(5)]
+    store = ResultStore(root)
+    point = run_spec(hit_a)  # the store does not check point against spec
+    for s in (hit_a, hit_b, corrupt):
+        store.put(s, point)
+    store.path_for(corrupt.fingerprint()).write_text("{ not json")
+    target = store.path_for(foreign.fingerprint())
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(store.path_for(hit_a.fingerprint()).read_text())
+    return [hit_a, missing, corrupt, hit_b, foreign]
+
+
+class TestGetMany:
+    @pytest.fixture(params=["file", "remote"])
+    def make_store(self, request, tmp_path):
+        """``(store root to fill, factory of a fresh reading store)``."""
+        if request.param == "file":
+            return tmp_path / "st", lambda: ResultStore(tmp_path / "st")
+        coord = request.getfixturevalue("coord")
+        return coord.store_root, lambda: open_coordinator(
+            coord.url, tmp_path / "spool", retry_window=3.0)[0]
+
+    def test_spec_order_misses_and_stats_match_n_gets(self, make_store):
+        root, fresh = make_store
+        specs = _mixed_store(root)
+        one_by_one, batched = fresh(), fresh()
+        expected = [one_by_one.get(s) for s in specs]
+        got = batched.get_many(specs)
+        assert [p is None for p in got] == [False, True, True, False, True]
+        assert got == expected
+        assert batched.stats == one_by_one.stats
+        assert (batched.stats.hits, batched.stats.misses) == (2, 3)
+        assert batched.get_many([]) == []
+        for store in (one_by_one, batched):
+            if isinstance(store, RemoteStore):
+                store.client.close()
+
+    def test_server_side_stats_match_n_gets(self, coord, tmp_path):
+        specs = _mixed_store(coord.store_root)
+        store, _ = open_coordinator(coord.url, tmp_path / "spool", retry_window=3.0)
+        served = coord.routes.store.stats
+        for s in specs:
+            store.get(s)
+        by_gets = dataclasses.replace(served)
+        store.get_many(specs)
+        assert (served.hits, served.misses, served.corrupt) == (
+            2 * by_gets.hits, 2 * by_gets.misses, 2 * by_gets.corrupt)
+        assert (by_gets.hits, by_gets.misses, by_gets.corrupt) == (2, 3, 2)
+        store.client.close()
+
+    def test_body_without_specs_is_a_400(self, coord):
+        client = CoordinatorClient(coord.url, retry_window=1.0)
+        with pytest.raises(CoordinatorError, match="HTTP 400"):
+            client.call("get_many", {})
+        # The kept-alive connection still serves the next call, also
+        # after a reply sent before the route could read the body.
+        assert client.call("ping")["ok"] is True
+        with pytest.raises(CoordinatorError, match="HTTP 404"):
+            client.call("no_such_route", {"specs": []})
+        assert client.call("ping")["ok"] is True
+        client.close()
+
+    def test_readback_with_the_coordinator_gone_costs_one_window(self, tmp_path):
+        window = 0.5
+        server = FabricCoordinator(tmp_path / "coord", port=0)
+        server.start_background()
+        store, leases = open_coordinator(
+            server.url, tmp_path / "spool", worker_id="w1", retry_window=window)
+        server.shutdown()
+        server.server_close()
+        specs = [spec(seed=s) for s in range(20)]
+        t0 = time.monotonic()
+        results, summary = drain(specs, store, leases=leases, poll=0.05)
+        # One window for the queue scan, one for the batched readback.
+        assert time.monotonic() - t0 < 4 * window
+        assert summary.backend_error != ""
+        assert [r.status for r in results] == ["failed"] * 20
+        assert all("backend unreachable" in r.error for r in results)
+
+
+# ----------------------------------------------------------------------
+# Transport: kept-alive connections, threads, a stopped coordinator
+# ----------------------------------------------------------------------
+
+class TestTransport:
+    def test_sequential_calls_are_not_stalled_by_delayed_ack(self, coord):
+        client = CoordinatorClient(coord.url, retry_window=1.0)
+        client.ping()
+        t0 = time.monotonic()
+        for _ in range(50):
+            client.ping()
+        # Nagle on the server's two-write replies costs ~44 ms per call.
+        assert time.monotonic() - t0 < 1.0
+        client.close()
+
+    def test_threads_on_one_client_get_their_own_replies(self, coord):
+        # A worker's main thread and its lease heartbeat share a client;
+        # four threads (more than this suite's two cores) with a short
+        # switch interval make any shared-connection mix-up show.
+        client = CoordinatorClient(coord.url, retry_window=3.0)
+        errors = []
+
+        def ask(worker, fingerprint):
+            manager = HTTPLeaseManager(client, worker_id=worker)
+            try:
+                lease = manager.try_claim(fingerprint)
+                for _ in range(50):
+                    assert manager.current(fingerprint).worker == worker
+                    assert manager.renew(lease).fingerprint == fingerprint
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask, args=(f"w{i}", f"ff0{i}"))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(client._idle) <= len(threads)  # one per concurrent caller
+        client.close()
+
+    def test_stopped_coordinator_stops_answering_open_connections(self, tmp_path):
+        server = FabricCoordinator(tmp_path / "coord", port=0)
+        server.start_background()
+        client = CoordinatorClient(server.url, retry_window=0.5)
+        client.ping()  # leaves a kept-alive connection open
+        server.shutdown()
+        server.server_close()
+        t0 = time.monotonic()
+        with pytest.raises(CoordinatorUnreachable):
+            client.ping()
+        assert time.monotonic() - t0 < 0.5 + 2.0
+
+
+# ----------------------------------------------------------------------
 # The fleet over HTTP: queue behavior, identity with file mode
 # ----------------------------------------------------------------------
 
@@ -367,7 +515,9 @@ def _spawn_coordinator(store: Path, port: int) -> subprocess.Popen:
 
 
 def _wait_for_ping(url: str, timeout: float = 10.0) -> None:
-    CoordinatorClient(url, timeout=2.0, retry_window=timeout).ping()
+    client = CoordinatorClient(url, timeout=2.0, retry_window=timeout)
+    client.ping()
+    client.close()
 
 
 class TestCoordinatorRestart:
