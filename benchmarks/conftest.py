@@ -14,8 +14,17 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.results import Table
-from repro.campaign import CampaignSpec, deep_merge, emit, load_mapping, run_campaign
-from repro.experiments.common import MEDIUM, SMALL, TINY
+from repro.campaign import (
+    MEDIUM,
+    SMALL,
+    TINY,
+    CampaignRun,
+    CampaignSpec,
+    deep_merge,
+    emit,
+    load_mapping,
+    run_campaign,
+)
 
 CAMPAIGNS = Path(__file__).resolve().parent.parent / "campaigns"
 
@@ -40,9 +49,9 @@ def run_once(benchmark, fn, *args, **kwargs):
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-def figure(name: str, scale: str, **combination_overrides) -> dict[str, Table]:
-    """Run ``campaigns/<name>.yaml`` at ``scale`` and return its emitted
-    tables by emitter name.
+def figure_run(name: str, scale: str, **combination_overrides) -> CampaignRun:
+    """Run ``campaigns/<name>.yaml`` at ``scale`` and return the finished
+    run (its LoadPoints included) with its emitted tables printed.
 
     ``combination_overrides`` replace whole axes of the file's grid (a
     benchmark's shorter load list); everything else — routings,
@@ -54,8 +63,13 @@ def figure(name: str, scale: str, **combination_overrides) -> dict[str, Table]:
     )
     mapping.pop("seeds", None)
     mapping["replications"] = 1
-    tables = dict(emit(run_campaign(CampaignSpec.from_mapping(mapping, scale=scale))))
+    run = run_campaign(CampaignSpec.from_mapping(mapping, scale=scale))
     print()
-    for table in tables.values():
+    for _, table in emit(run):
         print(table.to_text())
-    return tables
+    return run
+
+
+def figure(name: str, scale: str, **combination_overrides) -> dict[str, Table]:
+    """:func:`figure_run`'s emitted tables by emitter name."""
+    return dict(emit(figure_run(name, scale, **combination_overrides)))

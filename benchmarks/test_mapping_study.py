@@ -3,7 +3,7 @@
 The paper (discussing Bhatele et al., SC 2011) argues that randomizing
 the task mapping removes dragonfly hotspots but "breaks the benefits of
 locality", and that "a proper solution should be applied at the network
-level".  With a 2-D stencil halo exchange:
+level".  With a 2-D stencil halo exchange (``campaigns/mapping.yaml``):
 
 - MIN + sequential mapping is throttled by hot local links;
 - MIN + random mapping trades the hotspot for lost locality (more
@@ -12,17 +12,22 @@ level".  With a 2-D stencil halo exchange:
   locality preserved.
 """
 
-from conftest import run_once
+from conftest import figure_run, run_once
 
-from repro.experiments import mapping_study
+from repro.campaign import emit
 
 
 def test_mapping_vs_network_level(benchmark, medium):
-    table = run_once(benchmark, mapping_study.run, medium, load=0.5)
-    print()
-    print(table.to_text())
+    run = run_once(benchmark, figure_run, "mapping", medium.name)
+    table = dict(emit(run))["table"]
     benchmark.extra_info["rows"] = table.rows
-    rows = {(r["routing"], r["mapping"]): r for r in table.rows}
+    # The table has no global-hop column; each point's LoadPoint has it.
+    rows = {}
+    for row, point in zip(table.rows, run.outcomes):
+        mapping = row["pattern"].split(":")[1]
+        rows[(row["routing"], mapping)] = dict(
+            row, global_hops=round(point.avg_global_hops, 3)
+        )
     min_seq = rows[("min", "sequential")]
     min_rnd = rows[("min", "random")]
     ofar_seq = rows[("ofar", "sequential")]

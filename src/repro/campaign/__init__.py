@@ -8,7 +8,9 @@ N-seed replication (reported as mean ± 95% CI half-width), and
 ``post:`` hooks naming figure/table emitters.  The file compiles to a
 deterministic :class:`~repro.engine.runspec.RunSpec` grid executed by
 the existing orchestrator + result store, so caching, resume,
-telemetry and checkpointing work on campaigns unchanged.
+telemetry and checkpointing work on campaigns unchanged.  The
+:class:`~repro.campaign.scale.Scale` presets a file's ``scale:`` key
+names live in :mod:`repro.campaign.scale`.
 
 See ``campaigns/`` for the checked-in paper-reproduction campaigns and
 ``docs/experiments-guide.md`` ("Campaigns") for the format reference.
@@ -22,6 +24,7 @@ _EXPORTS = {
         "EMITTERS", "CampaignRun", "emit", "run_campaign", "run_campaign_fabric",
         "validate_post",
     ),
+    "scale": ("Scale", "TINY", "SMALL", "MEDIUM", "PAPER", "get_scale"),
     "spec": (
         "CampaignError", "CampaignPoint", "CampaignSpec", "deep_merge",
         "load_campaign", "load_mapping",

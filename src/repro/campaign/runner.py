@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from tempfile import TemporaryDirectory
 
 from repro.analysis.results import Series, Table, series_table
-from repro.analysis.store import ResultStore
 from repro.campaign.aggregate import mean_ci
 from repro.campaign.spec import CampaignError, CampaignPoint, CampaignSpec
-from repro.engine.orchestrator import Orchestrator, summarize
+from repro.engine.orchestrator import Orchestrator, sidecar_store, summarize
 
 
 @dataclass
@@ -61,11 +59,8 @@ def run_campaign(
     """
     o = orchestrator or Orchestrator(workers=0, retries=0)
     if campaign.kind != "steady" and o.store is None:
-        with TemporaryDirectory() as tmp:
-            return run_campaign(campaign, Orchestrator(
-                o.workers, ResultStore(tmp), o.use_cache, o.retries, o.timeout,
-                o.observer, telemetry=o.telemetry, telemetry_dir=o.telemetry_dir,
-            ))
+        with sidecar_store(o) as backed:
+            return run_campaign(campaign, backed)
     points = campaign.expand()
     results = o.run([p.spec for p in points])
     return _finished(campaign, points, results, summarize(results), o.store)

@@ -60,11 +60,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.campaign.scale import Scale, get_scale
 from repro.cluster.spec import ScenarioSpec
 from repro.engine.backend import default_backend
 from repro.engine.config import SimulationConfig, ThresholdConfig
 from repro.engine.runspec import RunSpec, TransientSpec
-from repro.experiments.common import Scale, get_scale
 
 KINDS = ("steady", "transient", "burst", "scenario")
 
@@ -209,21 +209,25 @@ def _resolve_pattern(spec: str, h: int) -> str:
     """``ADV+h`` -> ``ADV+<h>`` (the campaign-file form of Fig. 5/6's
     worst-case offset, which depends on the point's own network size).
 
-    A resolved ``ADV+N`` must name another group of the point's own
-    network (``N`` in ``[1, 2h²]``); anything else would only fail when
-    the point's traffic pattern is built, mid-run.
+    The resolved name must parse as a pattern
+    (:func:`~repro.traffic.patterns.parse_pattern`, the parser the
+    point's builder uses), and an ``ADV+N`` must name another group of
+    the point's own network (``N`` in ``[1, 2h²]``); anything else
+    would only fail when the point's traffic pattern is built, mid-run.
     """
+    from repro.traffic.patterns import parse_pattern
+
     if not isinstance(spec, str):
-        return spec
+        raise ValueError(f"pattern names are strings, got {spec!r}")
     if spec.endswith("+h"):
-        return f"{spec[:-1]}{h}"
-    if spec.upper().startswith("ADV+"):
-        offset, groups = spec[4:], 2 * h * h + 1
-        if not offset.isdigit() or not 1 <= int(offset) < groups:
-            raise ValueError(
-                f"{spec} is not a pattern of an h={h} network "
-                f"(ADV offsets run from 1 to {groups - 1})"
-            )
+        spec = f"{spec[:-1]}{h}"
+    family, offset = parse_pattern(spec)
+    groups = 2 * h * h + 1
+    if family == "ADV" and not 1 <= offset < groups:
+        raise ValueError(
+            f"{spec} is not a pattern of an h={h} network "
+            f"(ADV offsets run from 1 to {groups - 1})"
+        )
     return spec
 
 

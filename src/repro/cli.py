@@ -51,17 +51,270 @@ import argparse
 
 from repro.analysis.results import Table
 from repro.analysis.store import ResultStore
-from repro.engine.backend import default_backend
+from repro.campaign.scale import SCALES
+from repro.engine.backend import default_backend, set_default_backend
 from repro.engine.config import SimulationConfig
-from repro.engine.orchestrator import summarize
+from repro.engine.orchestrator import Orchestrator, summarize
 from repro.engine.runspec import RunSpec
-from repro.experiments.common import (
-    DEFAULT_STORE,
-    fabric_options_from_args,
-    get_scale,
-    orchestration_options,
-    orchestrator_from_args,
-)
+
+#: Default result-store directory used by ``--resume`` when no
+#: ``--store`` is given.
+DEFAULT_STORE = ".repro-store"
+
+
+# ----------------------------------------------------------------------
+# The run flags: one definition for every command that executes points
+# ----------------------------------------------------------------------
+
+def add_run_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Attach the shared run-execution flags to ``parser``.
+
+    This is THE definition of the run layer's command-line surface:
+    ``repro sweep``, ``repro campaign run``, ``repro interference`` and
+    ``repro fabric work`` all call it, so the flag set cannot drift
+    between entry points.  Parse results feed
+    :func:`orchestrator_from_args`, which interprets every flag
+    (including ``--backend``) in one place.
+    """
+    group = parser.add_argument_group("sweep execution")
+    group.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="worker processes for grid points (default: in-process sequential)",
+    )
+    group.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="result-store directory for caching/checkpointing completed points",
+    )
+    group.add_argument(
+        "--resume", action="store_true",
+        help=f"resume from the result store (default dir {DEFAULT_STORE!r} "
+             "when --store is not given): completed points are cache hits, "
+             "only missing points run",
+    )
+    group.add_argument(
+        "--no-cache", action="store_true",
+        help="ignore existing store entries (re-run and overwrite them)",
+    )
+    group.add_argument(
+        "--progress", action="store_true",
+        help="print one progress line per resolved point (stderr)",
+    )
+    group.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-point wall-clock limit, enforced by killing the point's "
+             "worker process; without --workers one worker is used",
+    )
+    group.add_argument(
+        "--retries", type=int, default=1, metavar="N",
+        help="extra attempts after a failed/crashed/timed-out point (default 1)",
+    )
+    group.add_argument(
+        "--telemetry", type=int, nargs="?", const=100, default=None,
+        metavar="INTERVAL",
+        help="record an in-run telemetry series per point (sampling window "
+             "in cycles, default 100); series files land in the telemetry "
+             "directory, keyed by spec fingerprint",
+    )
+    group.add_argument(
+        "--telemetry-dir", default=None, metavar="DIR",
+        help="where per-point telemetry series go (default: "
+             "<store>/telemetry, or .repro-store/telemetry without a store)",
+    )
+    group.add_argument(
+        "--snapshot-every", type=int, default=None, metavar="CYCLES",
+        help="checkpoint each in-flight point to the result store every "
+             "CYCLES simulated cycles; a crashed/killed worker's retry "
+             "resumes from its last checkpoint instead of cycle 0 "
+             f"(implies a store, default dir {DEFAULT_STORE!r})",
+    )
+    group.add_argument(
+        "--backend", default=None, metavar="NAME",
+        help="engine backend executing each point (object | array); "
+             "backends are bit-for-bit identical, so results and store "
+             "keys do not depend on this choice (default: object)",
+    )
+    fabric = parser.add_argument_group(
+        "distributed fabric",
+        "cooperatively drain the grid with other hosts through one "
+        "shared store directory (repro.fabric); run the same command "
+        "on every host",
+    )
+    fabric.add_argument(
+        "--fabric", action="store_true",
+        help="join (or start) the fleet draining this grid: claim points "
+             "via store leases, skip points the store already has, and "
+             "wait for peers' in-flight points before reporting "
+             f"(implies a store, default dir {DEFAULT_STORE!r})",
+    )
+    fabric.add_argument(
+        "--lease-ttl", type=float, default=60.0, metavar="SECONDS",
+        help="seconds without a heartbeat before a point's lease is "
+             "considered stale and reclaimable (default 60)",
+    )
+    fabric.add_argument(
+        "--max-attempts", type=int, default=3, metavar="N",
+        help="fleet-wide execution attempts per point before it is "
+             "recorded as failed (default 3)",
+    )
+    fabric.add_argument(
+        "--worker-id", default=None, metavar="ID",
+        help="this worker's identity in leases and status tables "
+             "(default <hostname>-<pid>)",
+    )
+    fabric.add_argument(
+        "--coordinator", default=None, metavar="URL",
+        help="drain through a 'repro fabric serve' coordinator at URL "
+             "instead of a shared store directory (no shared filesystem "
+             "needed); --store then names this worker's local spool for "
+             "checkpoints and telemetry (implies --fabric)",
+    )
+    return parser
+
+
+def orchestration_options() -> argparse.ArgumentParser:
+    """The argparse *parent* carrying the shared sweep-execution flags."""
+    return add_run_args(argparse.ArgumentParser(add_help=False))
+
+
+def _install_backend_from_args(args: argparse.Namespace) -> None:
+    """``--backend`` becomes the process-wide default (or SystemExit)."""
+    backend = getattr(args, "backend", None)
+    if backend is not None:
+        try:
+            set_default_backend(backend)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
+
+
+def fabric_options_from_args(args: argparse.Namespace):
+    """``(store, drain kwargs)`` for the ``--fabric`` execution path.
+
+    Validates flag compatibility (``--workers``/``--no-cache``/
+    ``--timeout`` conflict with cooperative draining), installs
+    ``--backend`` as the process default, and resolves the shared store
+    (``--store``, default :data:`DEFAULT_STORE`).  The returned kwargs
+    feed :func:`repro.fabric.drain` (or, popped apart, a
+    :class:`~repro.fabric.WorkQueue` + :class:`~repro.fabric.FabricWorker`
+    pair for the long-lived ``repro fabric work`` command).
+    """
+    from repro.engine.progress import ConsoleProgress
+    from repro.telemetry.config import TelemetryConfig
+
+    if args.workers is not None:
+        raise SystemExit(
+            "--fabric runs one worker per process; for more workers run "
+            "the same command again (on this host or any other sharing "
+            "the store) instead of --workers"
+        )
+    if args.no_cache:
+        raise SystemExit(
+            "--fabric treats the store as the fleet's ground truth "
+            "(cached = done); --no-cache would make workers repeat each "
+            "other's points"
+        )
+    if args.timeout is not None:
+        raise SystemExit(
+            "--fabric has no per-point timeout (points run in-process); "
+            "stuck workers are handled by lease expiry (--lease-ttl) "
+            "and the fleet-wide --max-attempts budget"
+        )
+    _install_backend_from_args(args)
+    telemetry = (
+        TelemetryConfig(interval=args.telemetry)
+        if getattr(args, "telemetry", None) is not None else None
+    )
+    coordinator = getattr(args, "coordinator", None)
+    if coordinator:
+        # HTTP mode: the authoritative store lives behind the
+        # coordinator; --store names this worker's local spool.
+        from repro.fabric.coordinator import open_coordinator
+        from repro.fabric.lease import FabricBackendError
+
+        try:
+            store, leases = open_coordinator(
+                coordinator, args.store or DEFAULT_STORE,
+                worker_id=args.worker_id, lease_ttl=args.lease_ttl,
+            )
+        except FabricBackendError as exc:
+            raise SystemExit(f"fabric error: {exc}") from None
+    else:
+        store = ResultStore(args.store or DEFAULT_STORE)
+        leases = None
+    options = dict(
+        worker_id=args.worker_id,
+        lease_ttl=args.lease_ttl,
+        max_attempts=args.max_attempts,
+        snapshot_every=getattr(args, "snapshot_every", None),
+        telemetry=telemetry,
+        telemetry_dir=getattr(args, "telemetry_dir", None),
+        poll=getattr(args, "poll", 1.0),
+        max_points=getattr(args, "max_points", None),
+        observer=ConsoleProgress() if args.progress else None,
+        leases=leases,
+    )
+    return store, options
+
+
+def orchestrator_from_args(args: argparse.Namespace) -> Orchestrator:
+    """Interpret an :func:`add_run_args` namespace.
+
+    With no flags this is an in-process orchestrator with no store.
+    Besides building the orchestrator, this installs the requested
+    engine backend as the process-wide default
+    (:func:`repro.engine.backend.set_default_backend`), so every spec
+    constructed afterwards — ``Scale.spec``, campaign expansion, the
+    CLI — carries it.
+    """
+    from repro.engine.progress import ConsoleProgress
+    from repro.telemetry.config import TelemetryConfig
+
+    if getattr(args, "fabric", False) or getattr(args, "coordinator", None):
+        # Commands that support cooperative draining branch to
+        # fabric_options_from_args before ever building an orchestrator;
+        # reaching here means this command cannot honor the flag.
+        raise SystemExit(
+            "--fabric/--coordinator are supported on 'repro sweep' and "
+            "'repro campaign run' (and 'repro fabric work'); this "
+            "command runs single-host"
+        )
+    _install_backend_from_args(args)
+    snapshot_every = getattr(args, "snapshot_every", None)
+    store_dir = args.store or (
+        DEFAULT_STORE if (args.resume or snapshot_every is not None) else None
+    )
+    telemetry = (
+        TelemetryConfig(interval=args.telemetry)
+        if getattr(args, "telemetry", None) is not None else None
+    )
+    telemetry_dir = getattr(args, "telemetry_dir", None)
+    if telemetry is not None and telemetry_dir is None and store_dir is None:
+        # --telemetry with neither a store nor an explicit directory
+        # still needs somewhere for the series files.
+        telemetry_dir = f"{DEFAULT_STORE}/telemetry"
+    workers = args.workers
+    if args.timeout is not None:
+        # The timeout is enforced by killing a stuck worker *process*;
+        # in-process execution has nothing to kill.  Promote the default
+        # to one worker, and refuse an explicit in-process request.
+        if workers == 0:
+            raise SystemExit(
+                "--timeout cannot be enforced with --workers 0 (in-process "
+                "execution has no worker process to kill); use --workers >= 1 "
+                "or drop --timeout"
+            )
+        if workers is None:
+            workers = 1
+    return Orchestrator(
+        workers=workers if workers is not None else 0,
+        store=ResultStore(store_dir) if store_dir is not None else None,
+        use_cache=not args.no_cache,
+        retries=args.retries,
+        timeout=args.timeout,
+        observer=ConsoleProgress() if args.progress else None,
+        telemetry=telemetry,
+        telemetry_dir=telemetry_dir,
+        snapshot_every=snapshot_every,
+    )
 
 
 def _config(args, routing: str | None = None) -> SimulationConfig:
@@ -214,17 +467,19 @@ def cmd_burst(args) -> None:
 
 
 def cmd_interference(args) -> None:
-    from repro.experiments import interference
+    from repro.engine.orchestrator import OrchestratorError
+    from repro.workloads import interference
 
-    scale = get_scale(args.scale)
+    scale = SCALES[args.scale]
     routings = tuple(args.routings.split(","))
-    orchestrator = orchestrator_from_args(args)
-    outcomes = interference.run(
-        scale, routings,
-        bully_load=args.bully_load, victim_load=args.victim_load,
-        seed=args.seed,
-        store=orchestrator.store, use_cache=orchestrator.use_cache,
-    )
+    try:
+        outcomes = interference.run(
+            scale, routings,
+            bully_load=args.bully_load, victim_load=args.victim_load,
+            seed=args.seed, orchestrator=orchestrator_from_args(args),
+        )
+    except OrchestratorError as exc:
+        raise SystemExit(f"interference: {exc}") from None
     print(interference.points_table(scale, outcomes).to_text())
     print(interference.slowdown_table(scale, outcomes).to_text())
     print(interference.verdict(outcomes))
@@ -744,8 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interference",
                        help="multi-job bully/victim interference study",
                        parents=[orchestration_options()])
-    p.add_argument("--scale", default="small",
-                   choices=["tiny", "small", "medium", "large", "paper"])
+    p.add_argument("--scale", default="small", choices=list(SCALES))
     p.add_argument("--routings", default="min,ofar",
                    help="comma-separated routings to compare (default min,ofar)")
     p.add_argument("--bully-load", type=float, default=0.7)
@@ -844,9 +1098,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def campaign_common(q):
         q.add_argument("file", help="campaign YAML/JSON file")
-        q.add_argument("--scale", default=None, choices=sorted(
-            ["tiny", "small", "medium", "large", "paper"]),
-            help="override the campaign file's scale preset")
+        q.add_argument("--scale", default=None, choices=list(SCALES),
+                       help="override the campaign file's scale preset")
 
     q = camp_sub.add_parser(
         "run", help="execute a campaign and evaluate its post emitters",

@@ -39,9 +39,11 @@ import os
 import time
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from tempfile import TemporaryDirectory
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.analysis.store import ResultStore
 from repro.engine.execute import execute_point, preload
@@ -436,6 +438,27 @@ class Orchestrator:
                 w.proc.kill()
                 w.proc.join()
         w.conn.close()
+
+
+@contextmanager
+def sidecar_store(orchestrator: Orchestrator) -> Iterator[Orchestrator]:
+    """``orchestrator`` itself when it has a store, else a copy of it
+    over a throw-away store that lives as long as the ``with`` block.
+
+    A non-steady point's full result (transient series, burst
+    completion, workload or scenario outcome) travels from the executor
+    to its reader as a store sidecar, so a storeless run of such points
+    still needs somewhere to put them.
+    """
+    if orchestrator.store is not None:
+        yield orchestrator
+        return
+    o = orchestrator
+    with TemporaryDirectory() as tmp:
+        yield Orchestrator(
+            o.workers, ResultStore(tmp), o.use_cache, o.retries, o.timeout,
+            o.observer, telemetry=o.telemetry, telemetry_dir=o.telemetry_dir,
+        )
 
 
 def summarize(results: list[PointResult]) -> dict:

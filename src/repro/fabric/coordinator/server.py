@@ -339,9 +339,15 @@ class FabricCoordinator(ThreadingHTTPServer):
         self._close_connections()
 
     def start_background(self) -> threading.Thread:
-        """Serve from a daemon thread (tests, embedded use)."""
+        """Serve from a daemon thread (tests, embedded use).
+
+        The loop polls for :meth:`shutdown` every 50 ms instead of
+        ``serve_forever``'s default 0.5 s, so stopping an embedded
+        coordinator does not stall its caller.
+        """
         thread = threading.Thread(
-            target=self.serve_forever, name="fabric-coordinator", daemon=True
+            target=self.serve_forever, kwargs={"poll_interval": 0.05},
+            name="fabric-coordinator", daemon=True,
         )
         thread.start()
         return thread

@@ -15,9 +15,10 @@ locality.  These patterns make that scenario reproducible:
 - :class:`PermutationPattern` — a fixed random permutation, the
   standard "worst realistic" synthetic.
 
-The mapping study experiment (:mod:`repro.experiments.mapping_study`)
-uses these to reproduce the paper's argument that a *network-level*
-solution (OFAR) beats mapping randomization because it keeps locality.
+The mapping study (``campaigns/mapping.yaml``, through the
+``STENCIL:<mapping>`` pattern name) uses the stencil to reproduce the
+paper's argument that a *network-level* solution (OFAR) beats mapping
+randomization because it keeps locality.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from typing import TYPE_CHECKING
 
-from repro.topology.dragonfly import Dragonfly
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.topology.dragonfly import Dragonfly
 
 
 class TrafficPattern(ABC):
@@ -126,31 +128,58 @@ class MixPattern(TrafficPattern):
         return self._patterns[-1].dest(src)  # pragma: no cover - drift guard
 
 
-def make_pattern(topo: Dragonfly, rng: random.Random, spec: str) -> TrafficPattern:
-    """Build a pattern from a short spec string.
+#: Fig. 7's mixes: (UN, ADV+1, ADV+h) weights.
+MIXES = {"MIX1": (0.8, 0.1, 0.1), "MIX2": (0.6, 0.2, 0.2), "MIX3": (0.2, 0.4, 0.4)}
+
+
+def parse_pattern(spec: str) -> tuple[str, object]:
+    """``(family, argument)`` of a pattern spec string, or ValueError.
+
+    The one parser of pattern names: :func:`make_pattern` builds from
+    its result, and campaign expansion calls it to refuse an unknown
+    name before any point runs.  Needs no topology, so range checks
+    against a network (an ADV offset's group count) stay with the
+    builder.
 
     Accepted specs: ``"UN"``, ``"ADV+<n>"``, ``"ADV-LOCAL"``,
     ``"MIX1"``, ``"MIX2"``, ``"MIX3"`` (the Fig. 7 mixes, with
-    ``ADV+h`` as the adversarial component, as in the paper).
+    ``ADV+h`` as the adversarial component, as in the paper) and
+    ``"STENCIL:<sequential|random>"`` (a 2-D stencil halo exchange
+    under that task mapping, §III's Bhatele et al. discussion).
     """
-    spec = spec.upper()
-    if spec == "UN":
-        return UniformPattern(topo, rng)
-    if spec == "ADV-LOCAL":
-        return AdversarialLocalPattern(topo, rng)
-    if spec.startswith("ADV+"):
-        return AdversarialPattern(topo, rng, int(spec[4:]))
-    mixes = {"MIX1": (0.8, 0.1, 0.1), "MIX2": (0.6, 0.2, 0.2), "MIX3": (0.2, 0.4, 0.4)}
-    if spec in mixes:
-        w_un, w_adv1, w_advh = mixes[spec]
-        return MixPattern(
-            topo,
-            rng,
-            [
-                (UniformPattern(topo, rng), w_un),
-                (AdversarialPattern(topo, rng, 1), w_adv1),
-                (AdversarialPattern(topo, rng, topo.h), w_advh),
-            ],
-            name=spec,
-        )
+    name = spec.upper()
+    if name in ("UN", "ADV-LOCAL"):
+        return name, None
+    if name in MIXES:
+        return "MIX", MIXES[name]
+    if name.startswith("ADV+") and name[4:].isdigit():
+        return "ADV", int(name[4:])
+    if name.startswith("STENCIL:") and name[8:].lower() in ("sequential", "random"):
+        return "STENCIL", name[8:].lower()
     raise ValueError(f"unknown traffic pattern spec {spec!r}")
+
+
+def make_pattern(topo: Dragonfly, rng: random.Random, spec: str) -> TrafficPattern:
+    """Build a pattern from a short spec string (see :func:`parse_pattern`)."""
+    family, arg = parse_pattern(spec)
+    if family == "UN":
+        return UniformPattern(topo, rng)
+    if family == "ADV-LOCAL":
+        return AdversarialLocalPattern(topo, rng)
+    if family == "ADV":
+        return AdversarialPattern(topo, rng, arg)
+    if family == "STENCIL":
+        from repro.traffic.applications import StencilPattern
+
+        return StencilPattern(topo, rng, mapping=arg)
+    w_un, w_adv1, w_advh = arg
+    return MixPattern(
+        topo,
+        rng,
+        [
+            (UniformPattern(topo, rng), w_un),
+            (AdversarialPattern(topo, rng, 1), w_adv1),
+            (AdversarialPattern(topo, rng, topo.h), w_advh),
+        ],
+        name=spec.upper(),
+    )

@@ -27,7 +27,8 @@ yields per-job LoadPoints, a slowdown against the job's *isolated*
 baseline (same nodes, neighbour removed), and the job-by-job
 interference matrix.
 
-Run as a script or via ``python -m repro interference``.
+Run it with ``python -m repro interference``; its points go through
+the orchestrator like a campaign's, so every run flag applies.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.results import Table
-from repro.analysis.store import ResultStore
+from repro.campaign.scale import Scale
 from repro.engine.execute import execute_cached
+from repro.engine.orchestrator import Orchestrator, sidecar_store
 from repro.engine.runspec import RunSpec
-from repro.experiments.common import Scale, scale_from_cli
 from repro.topology.dragonfly import Dragonfly
 from repro.workloads.runner import WorkloadResult, isolated_spec, job_slowdowns
 from repro.workloads.spec import JobSpec, WorkloadSpec
@@ -94,44 +95,40 @@ class RoutingOutcome:
         return self.shared.interference[0][1]
 
 
-def run_routing(
-    scale: Scale,
-    routing: str,
-    bully_load: float = 0.7,
-    victim_load: float = 0.2,
-    seed: int = 7,
-    store: ResultStore | None = None,
-    use_cache: bool = True,
-) -> RoutingOutcome:
-    """Shared run + per-job isolated baselines for one routing, each
-    resolved through ``store``'s sidecar cache when one is given."""
-    spec = build_spec(scale, routing, bully_load, victim_load, seed)
-    shared = execute_cached(spec, store, use_cache)
-    isolated = {
-        job.name: execute_cached(isolated_spec(spec, job.name), store, use_cache)
-        for job in spec.workload.jobs
-    }
-    return RoutingOutcome(
-        routing=routing,
-        shared=shared,
-        isolated=isolated,
-        slowdowns=job_slowdowns(shared, isolated),
-    )
-
-
 def run(
     scale: Scale,
     routings: tuple[str, ...] = ROUTINGS,
     bully_load: float = 0.7,
     victim_load: float = 0.2,
     seed: int = 7,
-    store: ResultStore | None = None,
-    use_cache: bool = True,
+    orchestrator: Orchestrator | None = None,
 ) -> list[RoutingOutcome]:
-    return [
-        run_routing(scale, routing, bully_load, victim_load, seed, store, use_cache)
-        for routing in routings
+    """Shared run + per-job isolated baselines for each routing.
+
+    All specs are resolved through ``orchestrator`` (default:
+    in-process, no store), so its workers, store, timeout and retries
+    apply; a failed point raises.  The full WorkloadResults are read
+    back from the store sidecars the executor writes.
+    """
+    groups = [
+        (spec, *(isolated_spec(spec, job.name) for job in spec.workload.jobs))
+        for spec in (build_spec(scale, r, bully_load, victim_load, seed)
+                     for r in routings)
     ]
+    with sidecar_store(orchestrator or Orchestrator(workers=0, retries=0)) as o:
+        for result in o.run([spec for group in groups for spec in group]):
+            result.require()
+        full = [[execute_cached(spec, o.store) for spec in group] for group in groups]
+    outcomes = []
+    for routing, (spec, *_), (shared, *baselines) in zip(routings, groups, full):
+        isolated = {job.name: r for job, r in zip(spec.workload.jobs, baselines)}
+        outcomes.append(RoutingOutcome(
+            routing=routing,
+            shared=shared,
+            isolated=isolated,
+            slowdowns=job_slowdowns(shared, isolated),
+        ))
+    return outcomes
 
 
 def points_table(scale: Scale, outcomes: list[RoutingOutcome]) -> Table:
@@ -174,10 +171,3 @@ def verdict(outcomes: list[RoutingOutcome]) -> str:
         f"the bully's blast radius"
     )
 
-
-if __name__ == "__main__":
-    scale = scale_from_cli(__doc__)
-    outcomes = run(scale)
-    print(points_table(scale, outcomes).to_text())
-    print(slowdown_table(scale, outcomes).to_text())
-    print(verdict(outcomes))

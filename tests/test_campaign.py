@@ -28,7 +28,8 @@ from repro.campaign import (
     validate_post,
 )
 from repro.engine.orchestrator import Orchestrator
-from repro.experiments.common import TINY
+from repro.engine.runspec import RunSpec
+from repro.campaign import TINY
 
 CAMPAIGNS = Path(__file__).resolve().parent.parent / "campaigns"
 
@@ -317,7 +318,8 @@ class TestExpand:
         ))
         fps = [p.spec.fingerprint() for p in campaign.expand()]
         direct = [
-            TINY.spec(routing, "UN", load).fingerprint()
+            RunSpec(TINY.config(routing), "UN", load, TINY.warmup, TINY.measure)
+            .fingerprint()
             for routing in ("min", "ofar") for load in (0.1, 0.2)
         ]
         assert fps == direct

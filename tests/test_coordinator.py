@@ -378,6 +378,20 @@ class TestTransport:
             client.ping()
         assert time.monotonic() - t0 < 0.5 + 2.0
 
+    def test_background_shutdown_is_prompt(self, tmp_path):
+        # serve_forever's default 0.5 s poll made every shutdown() wait
+        # out the rest of that interval.
+        server = FabricCoordinator(tmp_path / "coord", port=0)
+        server.start_background()
+        client = CoordinatorClient(server.url, retry_window=1.0)
+        client.ping()
+        client.close()
+        time.sleep(0.1)  # the serve loop is mid-poll
+        t0 = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - t0 < 0.2
+        server.server_close()
+
 
 # ----------------------------------------------------------------------
 # The fleet over HTTP: queue behavior, identity with file mode

@@ -7,7 +7,7 @@ pin the table shapes the benchmarks assert on.
 
 import pytest
 
-from repro.experiments import TINY, get_scale
+from repro.campaign import TINY, get_scale
 from repro.telemetry import TelemetryConfig
 from repro.engine.runner import run_transient
 

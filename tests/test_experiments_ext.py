@@ -1,10 +1,10 @@
-"""Smoke tests for the ablation/extension campaigns and the library
-studies (tiny scale)."""
+"""Smoke tests for the ablation/extension campaigns (tiny scale)."""
 
-from repro.experiments import TINY
-from repro.experiments import congestion, mapping_study, starvation
+from repro.campaign import TINY
+from repro.cli import main
+from repro.telemetry import read_jsonl
 
-from tests.figures import figure, figure_campaign
+from tests.figures import CAMPAIGNS, figure, figure_campaign
 
 
 def _variants(campaign) -> dict:
@@ -56,23 +56,28 @@ class TestCongestion:
         assert {"variant", "False_thr", "True_thr", "False_ring", "True_ring"} <= set(table.columns)
         assert [r["variant"] for r in table.rows] == ["full-vcs", "reduced-vcs"]
 
-    def test_timeline_columns(self):
-        table = congestion.run_timeline(TINY, load=0.5)
-        assert {
-            "cycle", "none_ring", "none_stalls", "none_backlog",
-            "cc_ring", "cc_stalls", "cc_backlog",
-        } <= set(table.columns)
-        assert len(table.rows) >= 2  # one row per sampling window
-        cycles = [r["cycle"] for r in table.rows]
-        assert cycles == sorted(cycles)
+    def test_timeline_columns(self, tmp_path):
+        """The collapse over time: ``--telemetry`` writes each point's
+        per-window ring occupancy, bubble stalls and injection backlog."""
+        store = tmp_path / "store"
+        main(["campaign", "run", str(CAMPAIGNS / "congestion.yaml"), "--scale", "tiny",
+              "--telemetry", "50", "--store", str(store)])
+        for point in figure_campaign("congestion").expand():
+            fp = point.spec.fingerprint()
+            series = read_jsonl(store / "telemetry" / fp[:2] / f"{fp}.jsonl")
+            assert len(series.samples) >= 2  # one sample per window
+            cycles = [s.cycle for s in series.samples]
+            assert cycles == sorted(cycles)
+            for s in series.samples:
+                assert min(s.ring_packets, s.bubble_stalls, s.injection_backlog) >= 0
 
 
 class TestMapping:
     def test_cases_covered(self):
-        table = mapping_study.run(TINY, load=0.3)
-        pairs = {(r["routing"], r["mapping"]) for r in table.rows}
-        assert ("min", "sequential") in pairs
-        assert ("ofar", "random") in pairs
+        table = figure("mapping", load=[0.3])["table"]
+        pairs = {(r["routing"], r["pattern"]) for r in table.rows}
+        assert ("min", "STENCIL:sequential") in pairs
+        assert ("ofar", "STENCIL:random") in pairs
 
 
 class TestRouterDesign:
@@ -95,11 +100,13 @@ class TestRouterDesign:
 
 class TestStarvation:
     def test_run_policy_fields(self):
-        row = starvation.run_policy(TINY, "local-first", 0.25)
-        assert set(row) == {"policy", "load", "throughput", "jain",
-                            "worst_share", "latency"}
+        row, = figure("starvation", load=[0.25],
+                      ofar_transit_misroute=["local-first"])["table"].rows
+        assert {"ofar_transit_misroute", "load", "throughput", "jain",
+                "worst_src", "latency"} <= set(row)
         assert 0 <= row["jain"] <= 1
 
     def test_run_both_policies(self):
-        table = starvation.run(TINY, loads=[0.25])
-        assert {r["policy"] for r in table.rows} == {"local-first", "global-first"}
+        table = figure("starvation", load=[0.25])["table"]
+        assert {r["ofar_transit_misroute"] for r in table.rows} == {
+            "local-first", "global-first"}

@@ -19,12 +19,12 @@ bugs the two-definitions era hid (dict-valued axes crashing
 
 import csv
 import hashlib
-import sys
 
 import pytest
 
 from repro.analysis.store import ResultStore
 from repro.campaign import (
+    TINY,
     CampaignError,
     CampaignSpec,
     emit,
@@ -32,9 +32,10 @@ from repro.campaign import (
     run_campaign,
     validate_post,
 )
-from repro.cli import main
-from repro.engine.orchestrator import Orchestrator
-from repro.experiments.common import TINY, scale_from_cli
+from repro.campaign.scale import SCALES
+from repro.cli import build_parser, main
+from repro.engine.orchestrator import Orchestrator, PointResult
+from repro.engine.runspec import RunSpec
 
 from tests.figures import CAMPAIGNS, figure, figure_campaign
 
@@ -56,6 +57,10 @@ GOLDEN_FINGERPRINTS = {
     "ablation_family": {"tiny": (14, "9ca296697032117e"), "medium": (14, "f4a678384c191922")},
     "router_design": {"tiny": (16, "58e4dc3c0d1250c4"), "medium": (16, "db06b1879e0e7ff2")},
     "congestion": {"tiny": (8, "9e9511577f915d34"), "medium": (8, "b1ece22868d8dcff")},
+    # The two extension studies that used to hand-build their simulators
+    # (recorded when they became campaign files).
+    "mapping": {"tiny": (6, "d490ad9aab94b8d1"), "medium": (6, "be93e6b7d302dabe")},
+    "starvation": {"tiny": (4, "a986ad3671dbe767"), "medium": (4, "f91e8012c0224bea")},
 }
 
 FIG6_COLUMNS = ("transition", "load", "routing", "pre_latency", "spike_latency",
@@ -116,12 +121,32 @@ ITERATIONS_TINY_ROWS = [
     ("ofar", 4, "ADV+2", 0.45, 0.4289, 118.2, 115.2, 4.43, 112, 264, 0.0298, 0.736, 0.735, 0.9475, 0.4197, 1544),
 ]
 
+# The extension studies, recorded when they became campaign files.
+MAPPING_COLUMNS = ("routing", "pattern", "load", *POINT_COLUMNS)
+MAPPING_TINY_ROWS = [
+    ("min", "STENCIL:sequential", 0.5, 0.4369, 86.9, 79.3, 1.49, 76, 312, 0.0, 0.0, 0.0, 0.9635, 0.6408, 1573),
+    ("min", "STENCIL:random", 0.5, 0.4614, 83.7, 79.4, 2.27, 72, 272, 0.0, 0.0, 0.0, 0.9553, 0.4335, 1661),
+    ("pb", "STENCIL:sequential", 0.5, 0.4886, 49.1, 45.6, 1.77, 48, 124, 0.0, 0.0, 0.0, 0.9524, 0.4912, 1759),
+    ("pb", "STENCIL:random", 0.5, 0.4744, 90.8, 87.3, 2.91, 88, 220, 0.0, 0.0, 0.0, 0.9603, 0.4637, 1708),
+    ("ofar", "STENCIL:sequential", 0.5, 0.4908, 48.5, 45.0, 2.21, 48, 136, 0.0, 0.355, 0.268, 0.9514, 0.5297, 1767),
+    ("ofar", "STENCIL:random", 0.5, 0.4908, 74.1, 70.7, 3.31, 72, 156, 0.0, 0.484, 0.385, 0.9608, 0.4482, 1767),
+]
+STARVATION_COLUMNS = ("routing", "pattern", "load", "ofar_transit_misroute", *POINT_COLUMNS)
+STARVATION_TINY_ROWS = [
+    ("ofar", "ADV+2", 0.3, "local-first", 0.3033, 76.4, 75.1, 4.29, 76, 144, 0.0, 0.721, 0.647, 0.9331, 0.4615, 1092),
+    ("ofar", "ADV+2", 0.3, "global-first", 0.2975, 95.6, 94.4, 3.88, 84, 264, 0.0131, 0.479, 0.602, 0.9436, 0.4706, 1071),
+    ("ofar", "ADV+2", 0.45, "local-first", 0.4289, 118.2, 115.2, 4.43, 112, 264, 0.0298, 0.736, 0.735, 0.9475, 0.4197, 1544),
+    ("ofar", "ADV+2", 0.45, "global-first", 0.4203, 137.7, 134.2, 4.28, 116, 392, 0.121, 0.55, 0.714, 0.9442, 0.4759, 1513),
+]
+
 #: figure -> (emitted table, pinned columns, its tiny rows).
 TINY_ROWS = {
     "fig6": ("table", FIG6_COLUMNS, FIG6_TINY_ROWS),
     "fig7": ("burst_table", FIG7_COLUMNS, FIG7_TINY_ROWS),
     "router_design": ("table", ROUTER_DESIGN_COLUMNS, ROUTER_DESIGN_TINY_ROWS),
     "ablation_iterations": ("table", ITERATIONS_COLUMNS, ITERATIONS_TINY_ROWS),
+    "mapping": ("table", MAPPING_COLUMNS, MAPPING_TINY_ROWS),
+    "starvation": ("table", STARVATION_COLUMNS, STARVATION_TINY_ROWS),
 }
 
 
@@ -196,7 +221,7 @@ class TestVariantAxis:
                                ("pattern", "UN"), ("load", 0.1), ("seed", 1))
         assert (lean.config.local_vcs, lean.config.global_vcs) == (2, 1)
         assert lean.config.escape == "embedded"
-        assert stock.spec == TINY.spec("ofar", "UN", 0.1)
+        assert stock.spec == RunSpec(TINY.config("ofar"), "UN", 0.1, TINY.warmup, TINY.measure)
 
     def test_variant_overrides_campaign_config(self):
         campaign = CampaignSpec.from_mapping(mapping(
@@ -217,7 +242,8 @@ class TestVariantAxis:
         a, b = campaign.expand()
         assert (a.config.routing, b.config.routing) == ("min", "par")
         assert "routing" not in dict(a.coords)
-        assert b.spec == TINY.spec("par", "UN", 0.1, local_vcs=4)
+        assert b.spec == RunSpec(
+            TINY.config("par", local_vcs=4), "UN", 0.1, TINY.warmup, TINY.measure)
 
     def test_thresholds_bundle_becomes_a_threshold_config(self):
         campaign = CampaignSpec.from_mapping(mapping(combination={
@@ -323,6 +349,18 @@ class TestAdvOffsets:
                 {"before": "UN", "after": "ADV+40", "load": 0.1}]).expand()
         with pytest.raises(CampaignError, match=r"ADV\+0"):
             figure_campaign("fig7", pattern=["ADV+0"]).expand()
+
+    @pytest.mark.parametrize("pattern, match", [
+        ("UNX", "unknown traffic pattern spec 'UNX'"),
+        ("STENCIL:diagonal", "unknown traffic pattern spec 'STENCIL:diagonal'"),
+    ])
+    def test_unknown_pattern_fails_at_expand(self, pattern, match):
+        """An unknown name used to validate, then fail when its point
+        was built, after the points before it had run."""
+        campaign = CampaignSpec.from_mapping(mapping(combination={
+            "routing": ["ofar"], "pattern": ["UN", pattern], "load": [0.1]}))
+        with pytest.raises(CampaignError, match=match):
+            campaign.expand()
 
     def test_campaign_validate_reports_it_cleanly(self, tmp_path):
         import json
@@ -439,31 +477,54 @@ class TestInProcessKindsRefuseRunFlags:
                [r.to_jsonable() for r in first.results]
         assert len(list((tmp_path / "transients").rglob("*.json"))) == 9
 
-    def test_study_entry_points_take_scale_only(self, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["study", "--scale", "tiny"])
-        assert scale_from_cli("doc") is TINY
-        monkeypatch.setattr(sys, "argv", ["study", "--workers", "2"])
-        with pytest.raises(SystemExit):
-            scale_from_cli("doc")
+    def test_study_entry_points_take_scale_only(self):
+        """The studies are campaign files and ``repro interference``;
+        every ``--scale`` flag takes exactly the presets' names."""
+        parser = build_parser()
+        for argv in (["interference"], ["campaign", "run", "f.yaml"]):
+            for name in SCALES:
+                assert parser.parse_args([*argv, "--scale", name]).scale == name
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, "--scale", "galactic"])
 
 
 class TestInterferenceStore:
-    def test_store_and_use_cache_are_arguments(self, monkeypatch):
-        """The study reads its cache from its arguments (there is no
-        process-wide orchestration context to read it from)."""
-        from repro.experiments import interference
+    def test_store_and_use_cache_are_arguments(self, tmp_path, monkeypatch):
+        """The study's points go through the orchestrator it is given,
+        and their full results come back from that orchestrator's store
+        — a throw-away one when it has none."""
+        from repro.workloads import interference
 
-        calls = []
+        ran, read = [], []
 
-        def fake_execute_cached(spec, store, use_cache):
-            calls.append((spec.workload is not None, store, use_cache))
+        def fake_run(self, specs):
+            ran.append((self.store, [spec.workload is not None for spec in specs]))
+            return [PointResult(spec, "done", point="point") for spec in specs]
+
+        def fake_execute_cached(spec, store):
+            read.append(store)
             return "result"
 
+        monkeypatch.setattr(Orchestrator, "run", fake_run)
         monkeypatch.setattr(interference, "execute_cached", fake_execute_cached)
         monkeypatch.setattr(interference, "job_slowdowns", lambda shared, isolated: {})
-        outcome, = interference.run(TINY, ("ofar",), store="STORE", use_cache=False)
-        assert calls == [(True, "STORE", False)] * 3  # shared + two isolated baselines
+        store = ResultStore(tmp_path)
+        outcome, = interference.run(
+            TINY, ("ofar",), orchestrator=Orchestrator(workers=0, store=store))
+        # One orchestrator run: the shared spec + two isolated baselines.
+        assert ran == [(store, [True] * 3)] and read == [store] * 3
         assert outcome.shared == "result"
-        calls.clear()
-        interference.run(TINY, ("min",))
-        assert calls == [(True, None, True)] * 3
+        ran.clear()
+        read.clear()
+        interference.run(TINY, ("min", "ofar"))
+        (throwaway, kinds), = ran
+        assert kinds == [True] * 6 and read == [throwaway] * 6
+        assert not throwaway.root.exists()  # gone with the run
+
+    def test_run_flags_reach_the_points(self):
+        """Every run flag applies: a point that cannot finish within
+        --timeout fails the command (it used to run in-process and
+        ignore --workers/--timeout/--retries)."""
+        with pytest.raises(SystemExit, match="timed out"):
+            main(["interference", "--scale", "tiny", "--routings", "ofar",
+                  "--workers", "2", "--timeout", "0.01", "--retries", "0"])

@@ -45,9 +45,9 @@ PUBLIC_API = {
     ],
     "repro.campaign": [
         "CampaignError", "CampaignPoint", "CampaignRun", "CampaignSpec",
-        "EMITTERS", "deep_merge", "emit",
-        "load_campaign", "load_mapping", "mean_ci", "run_campaign",
-        "run_campaign_fabric", "t_critical", "validate_post",
+        "EMITTERS", "MEDIUM", "PAPER", "SMALL", "Scale", "TINY", "deep_merge",
+        "emit", "get_scale", "load_campaign", "load_mapping", "mean_ci",
+        "run_campaign", "run_campaign_fabric", "t_critical", "validate_post",
     ],
     "repro.cluster": [
         "ArrivalSpec", "CompiledScenario", "FaultEvent", "FaultScheduleSpec",
@@ -63,7 +63,6 @@ PUBLIC_API = {
         "run_burst", "run_load_sweep", "run_spec", "run_transient",
         "set_default_backend",
     ],
-    "repro.experiments": ["MEDIUM", "PAPER", "SMALL", "Scale", "TINY", "get_scale"],
     "repro.fabric": [
         "Claim", "FAILURE_KIND", "FabricBackendError", "FabricSummary",
         "FabricWorker", "LEASE_DIR", "Lease", "LeaseManager", "QueueStatus",

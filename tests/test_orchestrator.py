@@ -27,7 +27,7 @@ from repro.engine.orchestrator import (
 from repro.engine.runner import run_spec
 from repro.engine.runspec import RunSpec
 from repro.engine.progress import SweepProgress
-from repro.experiments.common import TINY
+from repro.campaign import TINY
 
 # ----------------------------------------------------------------------
 # Module-level fault-injection workers (must be addressable by name in
@@ -420,8 +420,8 @@ class TestTier1Smoke:
         one injected worker failure and one cached point, completing
         fast and leaving the healthy grid intact."""
         store = ResultStore(tmp_path)
-        good = TINY.spec("ofar", "UN", 0.1)
-        bad = TINY.spec("ofar", "UN", INJECTED_BAD_LOAD)
+        good = RunSpec(TINY.config("ofar"), "UN", 0.1, TINY.warmup, TINY.measure)
+        bad = RunSpec(TINY.config("ofar"), "UN", INJECTED_BAD_LOAD, TINY.warmup, TINY.measure)
         sequential = run_spec(good)
         store.put(good, sequential)  # pre-completed: the cached point
         results = Orchestrator(
@@ -485,12 +485,12 @@ class TestOrchestratorFromArgs:
 
     @staticmethod
     def _parse(argv):
-        from repro.experiments.common import orchestration_options
+        from repro.cli import orchestration_options
 
         return orchestration_options().parse_args(argv)
 
     def _build(self, argv):
-        from repro.experiments.common import orchestrator_from_args
+        from repro.cli import orchestrator_from_args
 
         return orchestrator_from_args(self._parse(argv))
 
